@@ -8,6 +8,21 @@
 set -eu
 cd "$(dirname "$0")"
 
+echo "== toolchain =="
+# internal/sim/proc.go runs simulated processes as iter.Pull coroutines and
+# carries a file-level //go:build go1.23 line (the module's go line stays at
+# 1.22). An older toolchain silently drops that file, and the build then
+# fails with confusing "undefined: Proc" errors, so refuse it up front.
+GOVER="$(go env GOVERSION)"
+case "$GOVER" in
+go1.2[3-9]|go1.2[3-9].*|go1.2[3-9]rc*|go1.[3-9][0-9]*|go[2-9]*|devel*) ;;
+*)
+    echo "ci.sh: $GOVER is too old; internal/sim needs go1.23 or newer (iter.Pull)" >&2
+    exit 1
+    ;;
+esac
+echo "$GOVER"
+
 echo "== go vet =="
 go vet ./...
 

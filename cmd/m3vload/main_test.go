@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -99,6 +100,7 @@ func TestPickPattern(t *testing.T) {
 // miss on first sight of a body, hit after), /metrics a fixed snapshot.
 func stubServer(t *testing.T) (*httptest.Server, string) {
 	t.Helper()
+	var mu sync.Mutex // handlers run concurrently, one goroutine per connection
 	seen := make(map[string]bool)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/run", func(w http.ResponseWriter, r *http.Request) {
@@ -106,10 +108,12 @@ func stubServer(t *testing.T) (*httptest.Server, string) {
 		json.NewDecoder(r.Body).Decode(&req)
 		key, _ := json.Marshal(req)
 		cache := "miss"
+		mu.Lock()
 		if seen[string(key)] {
 			cache = "hit"
 		}
 		seen[string(key)] = true
+		mu.Unlock()
 		w.Header().Set("X-Cache", cache)
 		w.Write([]byte(`{"schema":"m3vd/v1","stub":true}` + "\n"))
 	})

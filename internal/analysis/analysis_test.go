@@ -155,6 +155,35 @@ func f() {
 	}
 }
 
+func TestSuppressedIsPerFile(t *testing.T) {
+	// A directive covers lines of its own file only: a finding on the same
+	// line number in a sibling file of the unit must stay reported, and the
+	// directive must stay stale.
+	fset := token.NewFileSet()
+	var files []*ast.File
+	for _, src := range []struct{ name, body string }{
+		{"a.go", "package p\n\n//m3vlint:ignore noalloc justified in a.go only\nvar a = 1\n"},
+		{"b.go", "package p\n\n\nvar b = 1\n"},
+	} {
+		f, err := parser.ParseFile(fset, src.name, src.body, parser.ParseComments)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, f)
+	}
+	d := ParseDirectives(fset, files)
+	line4 := fset.File(files[1].Pos()).LineStart(4)
+	if d.Suppressed("noalloc", line4) {
+		t.Fatal("directive in a.go must not cover line 4 of b.go")
+	}
+	if len(d.Unused()) != 1 {
+		t.Fatal("directive matched only across files must stay stale")
+	}
+	if !d.Suppressed("noalloc", fset.File(files[0].Pos()).LineStart(4)) {
+		t.Fatal("directive should cover the next line of its own file")
+	}
+}
+
 func TestPolicyHelpers(t *testing.T) {
 	for _, p := range DeterministicPkgs {
 		if !IsDeterministic(p) {

@@ -15,17 +15,15 @@
 //
 //   - calls that block the wall clock: time.Sleep/Tick/After/AfterFunc/
 //     NewTicker/NewTimer, (sync.WaitGroup).Wait, (sync.Cond).Wait;
-//   - channel sends, receives, selects, and ranges over channels
-//     (the engine's audited proc hand-off carries ignore directives);
+//   - channel sends, receives, selects, and ranges over channels;
 //   - calls into os, os/exec, net, and syscall (host I/O has no place in
 //     simulated time).
 //
 // Calls through plain function values are not followed (the Refs edges
 // cover values that escape into callback tables); arguments of panic calls
-// are exempt. The audited rendezvous between the dispatch loop and the
-// proc goroutines — bounded hand-offs the engine's liveness proof covers —
-// is justified site by site with //m3vlint:ignore simblock <reason>
-// directives.
+// are exempt. The engine's own process switch needs no exception: it is an
+// iter.Pull coroutine switch, not a channel operation. A justified site
+// elsewhere takes an //m3vlint:ignore simblock <reason> directive.
 package simblock
 
 import (
@@ -48,9 +46,8 @@ dispatch, process block/wake, DTU and NoC handlers. Everything statically
 reachable from them (including interface implementations and function
 values referenced in reachable bodies) runs on the dispatch goroutine and
 must not block the wall clock: no time.Sleep/Tick/After, no WaitGroup or
-Cond waits, no channel operations outside the audited proc hand-off, and
-no os/net I/O. Justified hand-off sites carry an
-//m3vlint:ignore simblock <reason> directive.`,
+Cond waits, no channel operations, and no os/net I/O. Justified sites
+carry an //m3vlint:ignore simblock <reason> directive.`,
 	Run:       run,
 	RunModule: runModule,
 }
@@ -196,7 +193,7 @@ func runModule(mp *analysis.ModulePass) (interface{}, error) {
 			for _, w := range f.blocks {
 				mp.Reportf(w.pos,
 					"%s inside the simulation context in %s (reachable from //m3v:simctx root %s); "+
-						"route the hand-off through the audited proc mailbox or justify with an ignore directive",
+						"move the wait out of the simulation context or justify with an ignore directive",
 					w.desc, name, rootName)
 			}
 		}

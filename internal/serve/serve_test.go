@@ -40,7 +40,7 @@ func fakeLookup(run func(string, bench.ServeParams, *sim.Canceler) (*bench.Resul
 	}
 	return func(id string) (bench.Experiment, bool) {
 		switch id {
-		case "fake", "other":
+		case "fake", "other", "procpanic":
 			return mk(id), true
 		case "clionly":
 			return bench.Experiment{ID: id, Title: "CLI only"}, true
@@ -387,13 +387,25 @@ func TestJobDeadline(t *testing.T) {
 }
 
 // TestPanicIsolation: a panicking experiment answers 500 and the pool
-// survives to serve the next request.
+// survives to serve the next request. Both the driver itself and a model
+// process inside its simulation may panic: a process panic unwinds out of
+// Engine.Run on the worker goroutine, where the pool recovers it.
 func TestPanicIsolation(t *testing.T) {
 	_, ts := newTestServer(t, Config{
 		Workers: 1,
 		Lookup: fakeLookup(func(id string, p bench.ServeParams, c *sim.Canceler) (*bench.Result, error) {
-			if id == "fake" {
+			switch id {
+			case "fake":
 				panic("kaboom")
+			case "procpanic":
+				e := sim.NewEngine()
+				defer e.Shutdown()
+				e.Spawn("bystander", func(p *sim.Proc) { p.Park() })
+				e.Spawn("buggy", func(p *sim.Proc) {
+					p.Sleep(sim.Microsecond)
+					panic("kaboom in process")
+				})
+				e.Run()
 			}
 			return okResult(id, p), nil
 		}),
@@ -402,12 +414,16 @@ func TestPanicIsolation(t *testing.T) {
 	if st != http.StatusInternalServerError || !strings.Contains(body, "panicked") {
 		t.Errorf("panic response = %d %q, want 500 with panic error", st, body)
 	}
+	st, _, body = post(t, ts.URL, Request{Experiment: "procpanic"})
+	if st != http.StatusInternalServerError || !strings.Contains(body, "kaboom in process") {
+		t.Errorf("process panic response = %d %q, want 500 naming the process panic", st, body)
+	}
 	if st, _, _ := post(t, ts.URL, Request{Experiment: "other"}); st != 200 {
 		t.Errorf("post-panic request status = %d, want 200", st)
 	}
 	_, metrics := get(t, ts.URL, "/metrics")
-	if v, _ := metricValue(metrics, "serve.jobs_failed"); v != 1 {
-		t.Errorf("serve.jobs_failed = %d, want 1", v)
+	if v, _ := metricValue(metrics, "serve.jobs_failed"); v != 2 {
+		t.Errorf("serve.jobs_failed = %d, want 2", v)
 	}
 }
 

@@ -306,7 +306,7 @@ func TotalEventsExecuted() uint64 { return totalExecuted.Load() }
 // Model code runs in two contexts:
 //
 //   - handler context: event callbacks executed by the Run loop;
-//   - process context: inside a goroutine started with Spawn, between the
+//   - process context: inside a coroutine started with Spawn, between the
 //     engine's resume and the process's next blocking call.
 //
 // The engine guarantees that at most one of these is active at any moment.
@@ -316,9 +316,8 @@ type Engine struct {
 	useWheel bool
 	wq       wheelQueue
 	hq       heapQueue
-	parked   chan struct{} // a process hands control back to the engine
-	dead     bool          // set by Shutdown; unwinds woken processes
-	procs    []*Proc       // spawned, not yet finished processes
+	dead     bool    // set by Shutdown; Spawn panics afterwards
+	procs    []*Proc // spawned, not yet finished processes
 
 	// stopped halts the active dispatch loop after the in-flight event.
 	// Atomic: Stop and Cancel are the only engine entry points that may be
@@ -356,7 +355,6 @@ func NewEngineSched(kind SchedKind) *Engine {
 	rec := trace.NewRecorder()
 	e := &Engine{
 		useWheel: kind == SchedWheel,
-		parked:   make(chan struct{}),
 		rec:      rec,
 		evExec:   rec.Metrics().Counter("sim.events_executed"),
 	}
@@ -569,16 +567,16 @@ func (e *Engine) flush(executed int64) {
 // scheduled its own resume as event seq; if that event is the queue's next
 // eligible event (true (at, seq) minimum, within the active loop's bound,
 // and the loop was not stopped), consume it inline and advance the clock —
-// the yield/resume goroutine hand-off through the engine is skipped
+// the yield/resume coroutine switch through the engine is skipped
 // entirely. This is exact, not an approximation: the resume event's only
 // effect is to transfer control back to the sleeping process, which staying
-// on its goroutine achieves identically, and dispatch order is untouched
+// on its coroutine achieves identically, and dispatch order is untouched
 // because only the true minimum is ever consumed. Both schedulers share the
 // path, so heap/wheel differential runs stay bit-identical.
 //
-// Called from process context only: the engine goroutine is blocked in
-// resume at this point, so mutating the queue and clock here is ordered by
-// the wake/parked channel hand-offs.
+// Called from process context only: the engine is suspended in resume at
+// this point, so mutating the queue and clock here is ordered by the
+// coroutine switches.
 //
 //m3v:noalloc
 func (e *Engine) popSelf(seq uint64) bool {
@@ -684,26 +682,23 @@ func (e *Engine) Pending() int {
 // Live reports the number of spawned processes that have not finished.
 func (e *Engine) Live() int { return len(e.procs) }
 
-// Shutdown unwinds all parked process goroutines. It must be called after Run
-// has returned (never from handler or process context). The engine is dead
-// afterwards; further use panics.
+// Shutdown unwinds all parked processes: each live coroutine is stopped, its
+// pending yield returns false, and the process panics with shutdownError,
+// running its deferred calls before the Spawn body recovers. It must be
+// called after Run has returned (never from handler or process context). The
+// engine is dead afterwards; further use panics.
 func (e *Engine) Shutdown() {
 	if e.running {
 		panic("sim: Shutdown during Run")
 	}
 	e.dead = true
-	// Every live process goroutine is blocked in waitWake (the engine is not
-	// running, so none is executing). Wake each one; it observes e.dead,
-	// panics with shutdownError, and is recovered by the Spawn wrapper
-	// without handing control back. The dead flag is published by the
-	// channel send's happens-before edge.
 	for _, p := range e.procs {
-		p.wake <- struct{}{}
+		p.stop()
 	}
 	e.procs = nil
 }
 
-// errShutdown is the sentinel used to unwind process goroutines at Shutdown.
+// shutdownError is the sentinel used to unwind process coroutines at Shutdown.
 type shutdownError struct{}
 
 func (shutdownError) Error() string { return "sim: engine shut down" }

@@ -1,23 +1,48 @@
+//go:build go1.23
+
+// The file-level constraint, not a go.mod bump, is what lets this file use
+// iter.Pull (go1.23) while the module stays at go 1.22: a //go:build line
+// that implies a newer release upgrades the language version of this file
+// alone, and a module-wide bump would make the perfbench module (which
+// replaces m3v with this tree and says go 1.22) fail with "updates to go.mod
+// needed". A toolchain older than go1.23 drops the file and the package
+// fails with undefined: Proc; ci.sh checks the toolchain version first.
+
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
-// Proc is a simulation process: a goroutine whose execution is interleaved
-// deterministically with the event loop. A process runs only between the
-// engine's resume signal and its next call to Sleep, Park, or return.
+// Proc is a simulation process: a coroutine (iter.Pull) whose execution is
+// interleaved deterministically with the event loop. A process runs only
+// between the engine's resume (the coroutine's next) and its next call to
+// Sleep, Park (the coroutine's yield), or return. Control moves by a direct
+// coroutine switch, with no channel and no scheduler pass in between.
 //
-// Methods on Proc must be called from the process's own goroutine (process
-// context). Wake must be called from handler context or another process's
-// context via the engine's event queue.
+// A panic inside a process unwinds out of the resume that was running it and
+// reaches the caller of Engine.Run; runtime.Goexit (t.Fatal in a test
+// process) likewise ends the goroutine that called Run.
+//
+// Methods on Proc must be called in process context. Wake must be called
+// from handler context or another process's context via the engine's event
+// queue.
 type Proc struct {
 	e           *Engine
 	name        string
-	wake        chan struct{}
 	parked      bool // parked via Park, waiting for an explicit Wake
 	wakePending bool // a wake event is already queued
 	done        bool
 	interrupted bool // Wake arrived while the process was not parked
 	idx         int  // position in the engine's procs list
+
+	// next and stop drive the coroutine from the engine side; yieldFn is the
+	// coroutine's yield, stored when the body starts so Sleep and Park can
+	// hand control back.
+	next    func() (struct{}, bool)
+	stop    func()
+	yieldFn func(struct{}) bool
 
 	// resumeFn and wakeFn are the closures Sleep and Wake schedule. They are
 	// built once at Spawn so the blocking hot paths (every Sleep, every
@@ -34,32 +59,25 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	if e.dead {
 		panic("sim: Spawn after Shutdown")
 	}
-	p := &Proc{e: e, name: name, wake: make(chan struct{}), idx: len(e.procs)}
+	p := &Proc{e: e, name: name, idx: len(e.procs)}
 	p.resumeFn = func() { e.resume(p) }
 	p.wakeFn = p.completeWake
-	e.procs = append(e.procs, p)
-	go func() {
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yieldFn = yield
 		defer func() {
 			r := recover()
 			if _, ok := r.(shutdownError); ok {
-				return // engine shut down; exit silently
+				return // stopped by Shutdown, which drops the procs list
 			}
-			if r != nil {
-				panic(r) // genuine model bug: crash loudly
-			}
-			// Normal return or runtime.Goexit (e.g. t.Fatal inside a test
-			// process): mark finished and hand control back so the engine
-			// does not deadlock. Dropping out of the procs list here is safe:
-			// the engine goroutine is blocked in resume until the parked
-			// send below.
 			p.done = true
 			e.unregister(p)
-			//m3vlint:ignore simblock audited proc hand-off: final parked send returns control to the engine blocked in resume
-			e.parked <- struct{}{}
+			if r != nil {
+				panic(r) // genuine model bug: iter.Pull re-raises it in resume
+			}
 		}()
-		p.waitWake() // wait for the start event
 		fn(p)
-	}()
+	})
+	e.procs = append(e.procs, p)
 	e.After(0, p.resumeFn)
 	return p
 }
@@ -73,37 +91,23 @@ func (e *Engine) unregister(p *Proc) {
 	e.procs = e.procs[:last]
 }
 
-// resume transfers control to p and blocks until p yields or finishes. It
-// must run in handler context.
+// resume switches to p's coroutine and returns when p yields or finishes. It
+// must run in handler context. A panic or runtime.Goexit inside p is
+// re-raised here, on the goroutine running the engine.
 func (e *Engine) resume(p *Proc) {
 	if p.done {
 		panic(fmt.Sprintf("sim: resume of finished process %q", p.name))
 	}
-	//m3vlint:ignore simblock audited proc hand-off: bounded rendezvous, the resumed process parks or finishes
-	p.wake <- struct{}{}
-	//m3vlint:ignore simblock audited proc hand-off: bounded rendezvous, the resumed process parks or finishes
-	<-e.parked
+	//m3vlint:ignore noalloc audited coroutine switch: iter.Pull's next only switches goroutines (TestSleepWakeAllocFree)
+	p.next()
 }
 
-// yield hands control back to the engine and blocks until resumed.
+// yield switches back to the engine and returns when resumed. A false result
+// from the coroutine's yield means Shutdown stopped the process: unwind it
+// with shutdownError, which the Spawn body recovers.
 func (p *Proc) yield() {
-	//m3vlint:ignore simblock audited proc hand-off: parked send pairs with the engine's receive in resume
-	p.e.parked <- struct{}{}
-	p.waitWake()
-}
-
-// waitWake blocks until the engine (or Shutdown) hands control to this
-// process. A plain channel receive, not a select: the old two-way select on
-// a shutdown channel made every hand-off go through runtime.selectgo, which
-// profiling showed cost more than the event queue itself. Shutdown instead
-// sets e.dead and then wakes each live process; the send's happens-before
-// edge publishes the flag.
-//
-//m3v:noalloc
-func (p *Proc) waitWake() {
-	//m3vlint:ignore simblock audited proc hand-off: wake receive pairs with resume's send (or Shutdown's unwind)
-	<-p.wake
-	if p.e.dead {
+	//m3vlint:ignore noalloc audited coroutine switch: iter.Pull's yield only switches goroutines (TestSleepWakeAllocFree)
+	if !p.yieldFn(struct{}{}) {
 		panic(shutdownError{})
 	}
 }
@@ -123,7 +127,7 @@ func (p *Proc) Now() Time { return p.e.now }
 // Fast path: if the resume just scheduled is the next eligible event — no
 // other component has anything to do before this process continues — the
 // process consumes it inline (popSelf) and keeps running, skipping the
-// double goroutine switch through the engine. On the fig9 workload most
+// two coroutine switches through the engine. On the fig9 workload most
 // DTU command charges hit this path.
 //
 //m3v:noalloc

@@ -1,10 +1,10 @@
 // Package sim provides a deterministic discrete-event simulation engine.
 //
 // The engine executes exactly one event at a time in a total order given by
-// (timestamp, insertion sequence). Model processes are goroutines, but the
-// engine enforces strict one-at-a-time hand-off: at any instant either the
-// engine loop or exactly one process goroutine is runnable. Two runs of the
-// same model therefore produce identical simulated results.
+// (timestamp, insertion sequence). Model processes are coroutines
+// (iter.Pull), and the engine enforces strict one-at-a-time hand-off: at any
+// instant either the engine loop or exactly one process is running. Two
+// runs of the same model therefore produce identical simulated results.
 package sim
 
 import (
