@@ -80,16 +80,16 @@ type benchExperiment struct {
 // benchReport is the BENCH_m3vbench.json schema (schema "m3vbench/v3"): the
 // per-experiment simulated metrics plus the simulator's own wall-clock
 // trajectory, so performance regressions of the simulator are recorded run
-// over run. v2 added the sched field and per-experiment events_executed /
-// events_per_sec; v3 adds the p99 tail-latency fields. Older files lack the
-// newer fields and are still accepted by loadBenchReport.
+// over run. v2 added per-experiment events_executed / events_per_sec; v3
+// adds the p99 tail-latency fields. Older files lack the newer fields and are
+// still accepted by loadBenchReport. v2/v3 files written while the event
+// queue was selectable also carry a "sched" key, which the loader ignores.
 type benchReport struct {
 	Schema      string            `json:"schema"`
 	Timestamp   string            `json:"timestamp"`
 	GoVersion   string            `json:"go_version"`
 	NumCPU      int               `json:"num_cpu"`
 	Parallel    int               `json:"parallel"`
-	Sched       string            `json:"sched,omitempty"`
 	Experiments []benchExperiment `json:"experiments"`
 	TotalWallMs float64           `json:"total_wall_ms"`
 }
@@ -137,7 +137,6 @@ type options struct {
 	fig9Series    []int
 	faultSeed     uint64
 	faultRate     float64
-	sched         sim.SchedKind
 	sampleEvery   sim.Time
 	seriesFile    string
 	cpuProfile    string
@@ -159,7 +158,6 @@ func parseOptions(args []string) (*options, error) {
 	fig9Tiles := fs.String("fig9-tiles", "", "override the fig9 tile-count series, e.g. 1,2,4 (smoke runs)")
 	fs.Uint64Var(&o.faultSeed, "fault-seed", 1, "fault-injection schedule seed (with -fault-rate)")
 	fs.Float64Var(&o.faultRate, "fault-rate", 0, "uniform fault-injection rate in [0,1] applied to every simulated system (0 disables)")
-	schedFlag := fs.String("sched", "wheel", "event scheduler: wheel (timing wheel, default) or heap (4-ary min-heap)")
 	sampleIvl := fs.String("sample-interval", "", "telemetry sampling interval in sim time applied to every simulated system (e.g. 100ns; empty disables)")
 	fs.StringVar(&o.seriesFile, "series", "", "write the sampled telemetry series of all runs as m3vseries JSON (report with m3vstat)")
 	fs.StringVar(&o.baseline, "baseline", "", "compare wall clock against a previous BENCH_m3vbench.json (older schemas accepted with a warning)")
@@ -177,12 +175,8 @@ func parseOptions(args []string) (*options, error) {
 	if o.faultRate < 0 || o.faultRate > 1 {
 		return nil, fmt.Errorf("-fault-rate must be in [0,1], got %g", o.faultRate)
 	}
-	sched, err := sim.ParseSched(*schedFlag)
-	if err != nil {
-		return nil, err
-	}
-	o.sched = sched
 	if *sampleIvl != "" {
+		var err error
 		o.sampleEvery, err = sim.ParseTime(*sampleIvl)
 		if err != nil {
 			return nil, fmt.Errorf("-sample-interval: %w", err)
@@ -234,10 +228,6 @@ func main() {
 		return
 	}
 	bench.SetParallelism(o.parallel)
-	// Experiments build their engines internally (often on sweep worker
-	// goroutines), so the scheduler choice travels through the process-wide
-	// default, like the fault config below.
-	sim.SetDefaultScheduler(o.sched)
 	if o.cpuProfile != "" {
 		f, err := os.Create(o.cpuProfile)
 		if err != nil {
@@ -287,7 +277,6 @@ func main() {
 		GoVersion: runtime.Version(),
 		NumCPU:    runtime.NumCPU(),
 		Parallel:  o.parallel,
-		Sched:     sim.DefaultScheduler().String(),
 	}
 	t0 := time.Now()
 	for _, id := range ids {

@@ -108,31 +108,9 @@ func TestListExperiments(t *testing.T) {
 	}
 }
 
-// TestParseOptionsSched covers the -sched flag: the default is the wheel,
-// heap is the escape hatch, anything else errors.
-func TestParseOptionsSched(t *testing.T) {
-	o, err := parseOptions(nil)
-	if err != nil {
-		t.Fatalf("parseOptions(nil): %v", err)
-	}
-	if o.sched != sim.SchedWheel {
-		t.Errorf("default sched = %v, want wheel", o.sched)
-	}
-	o, err = parseOptions([]string{"-sched", "heap"})
-	if err != nil {
-		t.Fatalf("parseOptions(-sched heap): %v", err)
-	}
-	if o.sched != sim.SchedHeap {
-		t.Errorf("sched = %v, want heap", o.sched)
-	}
-	if _, err := parseOptions([]string{"-sched", "calendar"}); err == nil ||
-		!strings.Contains(err.Error(), "unknown scheduler") {
-		t.Errorf("parseOptions(-sched calendar) err = %v, want unknown scheduler", err)
-	}
-}
-
-// TestLoadBenchReportV1 checks that the reader still accepts the previous
-// schema version: the fields added in v2 read as zero.
+// TestLoadBenchReportV1 checks that the reader still accepts the first
+// schema version: the fields added in v2 read as zero, and a legacy "sched"
+// key is ignored.
 func TestLoadBenchReportV1(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "v1.json")
 	v1 := `{
@@ -141,6 +119,7 @@ func TestLoadBenchReportV1(t *testing.T) {
   "go_version": "go1.24.0",
   "num_cpu": 1,
   "parallel": 1,
+  "sched": "wheel",
   "experiments": [
     {"id": "fig9", "title": "Scalability", "wall_ms": 6244.193,
      "rows": [{"label": "M3v find 1", "value": 87.7, "unit": "runs/s", "paper": 84}]}
@@ -165,13 +144,20 @@ func TestLoadBenchReportV1(t *testing.T) {
 		t.Errorf("v1 report must read with zero v2 fields, got %d / %g",
 			exp.EventsExecuted, exp.EventsPerSec)
 	}
-	if r.Sched != "" {
-		t.Errorf("v1 report must read with empty sched, got %q", r.Sched)
+}
+
+// withLegacySched adds the "sched" key that v2/v3 reports written while the
+// event queue was selectable carry (BENCH_m3vbench.json among them).
+func withLegacySched(t *testing.T, data []byte) []byte {
+	t.Helper()
+	if !strings.HasPrefix(string(data), "{\n") {
+		t.Fatalf("unexpected report encoding: %.20q", data)
 	}
+	return []byte("{\n  \"sched\": \"wheel\",\n" + string(data[2:]))
 }
 
 // TestLoadBenchReportV2RoundTrip writes a v2 report through the same
-// marshaling main uses and reads it back.
+// marshaling main uses, plus the legacy "sched" key, and reads it back.
 func TestLoadBenchReportV2RoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "v2.json")
 	want := benchReport{
@@ -179,7 +165,6 @@ func TestLoadBenchReportV2RoundTrip(t *testing.T) {
 		GoVersion: "go1.24.0",
 		NumCPU:    1,
 		Parallel:  2,
-		Sched:     "wheel",
 		Experiments: []benchExperiment{{
 			ID: "fig9", Title: "Scalability", WallMs: 5000,
 			EventsExecuted: 2400000, EventsPerSec: 480000,
@@ -191,7 +176,7 @@ func TestLoadBenchReportV2RoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	if err := os.WriteFile(path, withLegacySched(t, data), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	got, err := loadBenchReport(path)
@@ -215,7 +200,7 @@ func TestParseOptionsSampling(t *testing.T) {
 }
 
 // TestLoadBenchReportV3RoundTrip writes a current-schema report with the
-// tail-latency fields and reads it back.
+// tail-latency fields, plus the legacy "sched" key, and reads it back.
 func TestLoadBenchReportV3RoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "v3.json")
 	want := benchReport{
@@ -223,7 +208,6 @@ func TestLoadBenchReportV3RoundTrip(t *testing.T) {
 		GoVersion: "go1.24.0",
 		NumCPU:    1,
 		Parallel:  2,
-		Sched:     "wheel",
 		Experiments: []benchExperiment{{
 			ID: "fig9", Title: "Scalability", WallMs: 5000,
 			EventsExecuted: 2400000, EventsPerSec: 480000,
@@ -236,7 +220,7 @@ func TestLoadBenchReportV3RoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	if err := os.WriteFile(path, withLegacySched(t, data), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	got, err := loadBenchReport(path)

@@ -21,9 +21,6 @@ type ServeParams struct {
 	// Tiles is the worker tile count for experiments with a tile sweep
 	// (fig9). Experiments with a fixed topology ignore it.
 	Tiles int
-	// Sched selects the event scheduler; SchedDefault keeps the
-	// process-wide default.
-	Sched sim.SchedKind
 	// FaultSeed / FaultRate arm deterministic fault injection when
 	// FaultRate > 0.
 	FaultSeed uint64
@@ -34,9 +31,6 @@ type ServeParams struct {
 
 // apply overlays the request knobs onto a platform config.
 func (p ServeParams) apply(cfg *core.Config) {
-	if p.Sched != sim.SchedDefault {
-		cfg.Sched = p.Sched
-	}
 	if p.FaultRate > 0 {
 		cfg.Fault = fault.Uniform(p.FaultSeed, p.FaultRate)
 	}

@@ -48,11 +48,6 @@ type Config struct {
 	// SetDefaultFault applies (used by the benchmark harness's CLI flags,
 	// which cannot reach into per-experiment configs).
 	Fault fault.Config
-	// Sched selects the engine's event-queue implementation.
-	// sim.SchedDefault resolves to the process-wide default (the timing
-	// wheel, or whatever sim.SetDefaultScheduler installed — the CLIs'
-	// -sched flag uses the latter, mirroring the Fault pattern above).
-	Sched sim.SchedKind
 	// Sample arms sim-time telemetry sampling (see sim.StartSampling). The
 	// zero value keeps sampling off and defers to the process-wide default
 	// set via SetDefaultSampling, mirroring the Fault pattern above.

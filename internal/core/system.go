@@ -68,7 +68,7 @@ func (h *Handle) Code() int32 { return h.code }
 // New builds and boots a platform: tiles, NoC, DRAM, controller, TileMux
 // instances, and all boot-time endpoint wiring.
 func New(cfg Config) *System {
-	eng := sim.NewEngineSched(cfg.Sched)
+	eng := sim.NewEngine()
 	topo := noc.StarMesh{NumTiles: len(cfg.Tiles)}
 	net := noc.New(eng, topo, cfg.NoC)
 	s := &System{

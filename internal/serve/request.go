@@ -18,7 +18,7 @@ import (
 	"m3v/internal/sim"
 )
 
-// Request is the canonical simulation request (schema m3vd/v1). The JSON
+// Request is the canonical simulation request (schema m3vd/v2). The JSON
 // body of POST /run decodes into it; Canonicalize validates it and fills
 // defaults so equivalent requests collapse onto one digest.
 type Request struct {
@@ -26,8 +26,6 @@ type Request struct {
 	Experiment string `json:"experiment"`
 	// Tiles is the worker tile count for sweep experiments; 0 means 1.
 	Tiles int `json:"tiles,omitempty"`
-	// Sched is "wheel" or "heap"; empty means the wheel default.
-	Sched string `json:"sched,omitempty"`
 	// FaultSeed / FaultRate arm deterministic fault injection when
 	// FaultRate > 0 (rate in [0,1]; seed defaults to 1 when armed).
 	FaultSeed uint64  `json:"fault_seed,omitempty"`
@@ -41,10 +39,10 @@ type Request struct {
 const maxTiles = 64
 
 // Canonicalize validates r against the experiment registry, normalizes
-// every field to its canonical spelling (explicit tile count, named
-// scheduler, re-rendered sample interval, zeroed seed when faults are
-// off), and returns the resolved runner parameters. Two requests that
-// canonicalize equal are the same simulation.
+// every field to its canonical spelling (explicit tile count, re-rendered
+// sample interval, zeroed seed when faults are off), and returns the
+// resolved runner parameters. Two requests that canonicalize equal are the
+// same simulation.
 func Canonicalize(r Request, lookup func(string) (bench.Experiment, bool)) (Request, bench.ServeParams, error) {
 	var p bench.ServeParams
 	exp, ok := lookup(r.Experiment)
@@ -60,14 +58,6 @@ func Canonicalize(r Request, lookup func(string) (bench.Experiment, bool)) (Requ
 	if r.Tiles == 0 {
 		r.Tiles = 1
 	}
-	if r.Sched == "" {
-		r.Sched = sim.SchedWheel.String()
-	}
-	sched, err := sim.ParseSched(r.Sched)
-	if err != nil {
-		return r, p, err
-	}
-	r.Sched = sched.String()
 	if r.FaultRate < 0 || r.FaultRate > 1 {
 		return r, p, fmt.Errorf("fault_rate %g out of range [0,1]", r.FaultRate)
 	}
@@ -78,6 +68,7 @@ func Canonicalize(r Request, lookup func(string) (bench.Experiment, bool)) (Requ
 	}
 	var every sim.Time
 	if r.SampleInterval != "" {
+		var err error
 		every, err = sim.ParseTime(r.SampleInterval)
 		if err != nil {
 			return r, p, fmt.Errorf("sample_interval: %w", err)
@@ -89,7 +80,6 @@ func Canonicalize(r Request, lookup func(string) (bench.Experiment, bool)) (Requ
 	}
 	p = bench.ServeParams{
 		Tiles:          r.Tiles,
-		Sched:          sched,
 		FaultSeed:      r.FaultSeed,
 		FaultRate:      r.FaultRate,
 		SampleInterval: every,
@@ -99,12 +89,12 @@ func Canonicalize(r Request, lookup func(string) (bench.Experiment, bool)) (Requ
 
 // Digest returns the stable identity of a canonical request: a hex SHA-256
 // over a versioned, field-ordered encoding. Only meaningful after
-// Canonicalize (otherwise equivalent spellings digest apart). The m3vd/v1
-// prefix versions the encoding itself: a schema change must not collide
-// with old digests.
+// Canonicalize (otherwise equivalent spellings digest apart). The
+// ResponseSchema prefix versions the encoding itself: a schema change must
+// not collide with old digests.
 func (r Request) Digest() string {
 	h := sha256.New()
-	fmt.Fprintf(h, "m3vd/v1|%s|%d|%s|%d|%x|%s",
-		r.Experiment, r.Tiles, r.Sched, r.FaultSeed, r.FaultRate, r.SampleInterval)
+	fmt.Fprintf(h, "%s|%s|%d|%d|%x|%s",
+		ResponseSchema, r.Experiment, r.Tiles, r.FaultSeed, r.FaultRate, r.SampleInterval)
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -6,8 +6,9 @@ import (
 	"m3v/internal/bench"
 )
 
-// ResponseSchema versions the POST /run response body.
-const ResponseSchema = "m3vd/v1"
+// ResponseSchema versions the POST /run response body and, as the prefix of
+// Request.Digest's encoding, the request digest.
+const ResponseSchema = "m3vd/v2"
 
 // Response is the POST /run reply: the canonical request echoed back, its
 // digest, and the experiment result in m3vbench row shape. It carries no

@@ -132,9 +132,9 @@ func waitMetric(t *testing.T, base, name string, want int64) {
 	t.Fatalf("metric %s never reached %d:\n%s", name, want, body)
 }
 
-// TestCanonicalizeDigest pins canonicalization: defaults fill in,
-// equivalent spellings share a digest, distinct requests do not, and the
-// validation paths reject.
+// TestCanonicalizeDigest pins canonicalization: defaults fill in, the digest
+// encoding is stable, equivalent spellings share a digest, distinct requests
+// do not, and the validation paths reject.
 func TestCanonicalizeDigest(t *testing.T) {
 	lookup := fakeLookup(func(id string, p bench.ServeParams, c *sim.Canceler) (*bench.Result, error) {
 		return okResult(id, p), nil
@@ -143,14 +143,19 @@ func TestCanonicalizeDigest(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Canonicalize: %v", err)
 	}
-	if canon.Tiles != 1 || canon.Sched != "wheel" || canon.FaultSeed != 0 {
+	if canon.Tiles != 1 || canon.FaultSeed != 0 {
 		t.Errorf("canonical defaults = %+v", canon)
 	}
-	if params.Tiles != 1 || params.Sched != sim.SchedWheel {
+	if params.Tiles != 1 {
 		t.Errorf("params = %+v", params)
 	}
+	// sha256("m3vd/v2|fake|1|0|0x0p+00|"): a change here orphans every
+	// cached digest, so it must come with a ResponseSchema bump.
+	if got, want := canon.Digest(), "c956dea7c6a55db2be58eb8b8c88cb349af54b9cf040c9e31d1694ff74bd66d7"; got != want {
+		t.Errorf("canonical digest = %s, want %s", got, want)
+	}
 
-	spelled, _, err := Canonicalize(Request{Experiment: "fake", Tiles: 1, Sched: "wheel", FaultSeed: 99}, lookup)
+	spelled, _, err := Canonicalize(Request{Experiment: "fake", Tiles: 1, FaultSeed: 99}, lookup)
 	if err != nil {
 		t.Fatalf("Canonicalize spelled: %v", err)
 	}
@@ -187,7 +192,6 @@ func TestCanonicalizeDigest(t *testing.T) {
 		{Experiment: "clionly"},
 		{Experiment: "fake", Tiles: -1},
 		{Experiment: "fake", Tiles: maxTiles + 1},
-		{Experiment: "fake", Sched: "calendar"},
 		{Experiment: "fake", FaultRate: 1.5},
 		{Experiment: "fake", SampleInterval: "later"},
 	} {
@@ -438,15 +442,18 @@ func TestBadRequests(t *testing.T) {
 	if st, _, _ := post(t, ts.URL, Request{Experiment: "nope"}); st != 400 {
 		t.Errorf("unknown experiment status = %d, want 400", st)
 	}
-	resp, err := http.Post(ts.URL+"/run", "application/json", strings.NewReader(`{"experiment":"fake","bogus":1}`))
-	if err != nil {
-		t.Fatal(err)
+	// Unknown fields are rejected, including m3vd/v1's "sched".
+	for _, body := range []string{`{"experiment":"fake","bogus":1}`, `{"experiment":"fake","sched":"heap"}`} {
+		resp, err := http.Post(ts.URL+"/run", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != 400 {
+			t.Errorf("POST %s status = %d, want 400", body, resp.StatusCode)
+		}
 	}
-	resp.Body.Close()
-	if resp.StatusCode != 400 {
-		t.Errorf("unknown field status = %d, want 400", resp.StatusCode)
-	}
-	resp, err = http.Get(ts.URL + "/run")
+	resp, err := http.Get(ts.URL + "/run")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,8 +462,8 @@ func TestBadRequests(t *testing.T) {
 		t.Errorf("GET /run status = %d, want 405", resp.StatusCode)
 	}
 	_, metrics := get(t, ts.URL, "/metrics")
-	if v, _ := metricValue(metrics, "serve.bad_requests"); v != 2 {
-		t.Errorf("serve.bad_requests = %d, want 2", v)
+	if v, _ := metricValue(metrics, "serve.bad_requests"); v != 3 {
+		t.Errorf("serve.bad_requests = %d, want 3", v)
 	}
 }
 

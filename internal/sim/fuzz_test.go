@@ -27,8 +27,9 @@ func FuzzEngineOrdering(f *testing.F) {
 	f.Add([]byte{0x08, 0x0f, 0x10, 0x1f, 0x00})
 	f.Add([]byte{1, 0x09, 2, 0x12, 3, 0x1b, 4})
 	// Same-time ring boundary: delta-0 follow-ups scheduled from handler
-	// context while the ring is draining, mixed with past-schedule checks.
-	// These pin the insertion-order rule exactly at the ring's wrap edge.
+	// context while the ring is draining, mixed with checks that scheduling
+	// in the past panics. These pin the insertion-order rule exactly at the
+	// ring's wrap edge.
 	f.Add([]byte{0x0c, 0x04, 0x0c, 0x04, 0x8c})
 	f.Add([]byte{0x88, 0x08, 0x88, 0x00})
 	f.Add([]byte{0x0f, 0x07, 0x8f, 0x07, 0x0f})

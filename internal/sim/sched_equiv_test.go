@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -10,10 +11,65 @@ type dispatchRec struct {
 	seq uint64
 }
 
-// driveSchedule decodes the fuzz input into a schedule of At/After/RunUntil
-// operations, runs it on a fresh engine with the given scheduler, and
-// returns the dispatch order as (at, seq) records. The decoding exercises
-// every queue region of the timing wheel:
+// queue is the surface driveSchedule needs: the engine's scheduling and
+// dispatch calls, implemented by both *Engine and refQueue.
+type queue interface {
+	Now() Time
+	Seq() uint64
+	After(d Time, fn func())
+	RunUntil(limit Time) Time
+	Run() Time
+}
+
+// refQueue is the test-only reference scheduler: a slice kept sorted by
+// (at, seq), popped from the front. It is deliberately naive and shares no
+// code with the engine's queue (no ringBuf, heapPush/heapPop or evLess), so a
+// defect there cannot show up identically on both sides of the comparison.
+type refQueue struct {
+	now Time
+	seq uint64
+	evs []refEvent
+}
+
+type refEvent struct {
+	at  Time
+	seq uint64
+	fn  func()
+}
+
+func (r *refQueue) Now() Time   { return r.now }
+func (r *refQueue) Seq() uint64 { return r.seq }
+
+func (r *refQueue) After(d Time, fn func()) {
+	r.seq++
+	ev := refEvent{at: r.now + d, seq: r.seq, fn: fn}
+	i := 0
+	for i < len(r.evs) && (r.evs[i].at < ev.at || r.evs[i].at == ev.at && r.evs[i].seq < ev.seq) {
+		i++
+	}
+	r.evs = slices.Insert(r.evs, i, ev)
+}
+
+// RunUntil mirrors Engine.RunUntil: dispatch everything due by limit, then
+// advance the clock to limit if later events remain queued.
+func (r *refQueue) RunUntil(limit Time) Time {
+	for len(r.evs) > 0 && r.evs[0].at <= limit {
+		ev := r.evs[0]
+		r.evs = r.evs[1:]
+		r.now = ev.at
+		ev.fn()
+	}
+	if len(r.evs) > 0 && limit > r.now {
+		r.now = limit
+	}
+	return r.now
+}
+
+func (r *refQueue) Run() Time { return r.RunUntil(MaxTime) }
+
+// driveSchedule decodes the fuzz input into a schedule of After/RunUntil
+// operations, runs it on q, and returns the dispatch order as (at, seq)
+// records. The decoding exercises every queue region of the timing wheel:
 //
 //   - low bytes schedule short deltas (0..63ns): level-0 slots and, from
 //     handler context, the same-time ring and the sorted cur run (deltas
@@ -23,14 +79,13 @@ type dispatchRec struct {
 //   - 0xC0-prefixed bytes advance a RunUntil limit and drain up to it,
 //     interleaving pops with later pushes (re-anchoring, behind-horizon
 //     inserts).
-func driveSchedule(kind SchedKind, data []byte) []dispatchRec {
-	e := NewEngineSched(kind)
+func driveSchedule(q queue, data []byte) []dispatchRec {
 	var out []dispatchRec
 	var schedule func(d Time, follow byte)
 	schedule = func(d Time, follow byte) {
-		seq := e.seq + 1 // At assigns the next sequence number
-		e.After(d, func() {
-			out = append(out, dispatchRec{e.Now(), seq})
+		seq := q.Seq() + 1 // After assigns the next sequence number
+		q.After(d, func() {
+			out = append(out, dispatchRec{q.Now(), seq})
 			if follow&0x01 != 0 {
 				schedule(0, 0) // same-time ring
 			}
@@ -49,27 +104,26 @@ func driveSchedule(kind SchedKind, data []byte) []dispatchRec {
 			// Drain up to a moving limit; later bytes keep pushing after the
 			// wheel re-anchors.
 			limit += Time(b&0x3F+1) * 50 * Nanosecond
-			e.RunUntil(limit)
+			q.RunUntil(limit)
 		case 0x80:
 			// Scaled far-future delta: shift 20/28/36/44 selects wheel levels
 			// 1..3 and, at the top, the overflow heap.
 			shift := 20 + uint(b&0x30)>>4*8
-			e.After(Time(int64(b&0x0F+1)<<shift), func() {
-				out = append(out, dispatchRec{e.Now(), e.seq})
-			})
+			schedule(Time(int64(b&0x0F+1)<<shift), 0)
 		default:
 			schedule(Time(b&0x3F)*Nanosecond, b>>3)
 		}
 	}
-	e.Run()
+	q.Run()
 	return out
 }
 
-// FuzzQueueEquivalence is the differential fuzz target for the scheduler
-// swap: any interleaving of At/After/RunUntil operations must dispatch in
-// exactly the same (at, seq) order under the heap queue and the timing
-// wheel. This is the property that keeps trace hashes, flow spans, fault
-// schedules, and the golden figures bit-identical across -sched values.
+// FuzzQueueEquivalence is the differential fuzz target for the engine's
+// event queue: any interleaving of After/RunUntil operations must dispatch in
+// exactly the same (at, seq) order, and leave the clock at the same time,
+// under the timing wheel and the sorted-slice reference. This is the property
+// that keeps trace hashes, flow spans, fault schedules, and the golden
+// figures deterministic.
 func FuzzQueueEquivalence(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0})
@@ -84,24 +138,21 @@ func FuzzQueueEquivalence(f *testing.F) {
 		if len(data) > 128 {
 			data = data[:128]
 		}
-		heap := driveSchedule(SchedHeap, data)
-		wheel := driveSchedule(SchedWheel, data)
-		if len(heap) != len(wheel) {
-			t.Fatalf("dispatch count differs: heap %d, wheel %d", len(heap), len(wheel))
+		ref := &refQueue{}
+		want := driveSchedule(ref, data)
+		e := NewEngine()
+		got := driveSchedule(e, data)
+		if len(got) != len(want) {
+			t.Fatalf("dispatch count differs: wheel %d, reference %d", len(got), len(want))
 		}
-		for i := range heap {
-			if heap[i] != wheel[i] {
-				t.Fatalf("dispatch %d differs: heap (%v, %d), wheel (%v, %d)",
-					i, heap[i].at, heap[i].seq, wheel[i].at, wheel[i].seq)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("dispatch %d differs: wheel (%v, %d), reference (%v, %d)",
+					i, got[i].at, got[i].seq, want[i].at, want[i].seq)
 			}
 		}
-		// The common order must itself be a valid (at, seq) total order.
-		for i := 1; i < len(heap); i++ {
-			a, b := heap[i-1], heap[i]
-			if b.at < a.at || (b.at == a.at && b.seq < a.seq) {
-				t.Fatalf("order violated at %d: (%v,%d) before (%v,%d)",
-					i, a.at, a.seq, b.at, b.seq)
-			}
+		if e.Now() != ref.Now() {
+			t.Fatalf("final clock differs: wheel %v, reference %v", e.Now(), ref.Now())
 		}
 	})
 }

@@ -5,52 +5,47 @@ import (
 	"testing"
 )
 
-// TestSleepFastPathEquivalence runs the same process program under both
-// schedulers and checks that the observable timeline (the clock after every
-// Sleep) and the events_executed accounting are identical. The program mixes
-// sleeps that hit the inline fast path (nothing else pending), sleeps that
-// must take the slow path (a competing timer is due first), zero-length
-// sleeps (the same-time ring), and a far sleep that lands in the wheel's
-// overflow heap.
+// TestSleepFastPathEquivalence runs a process program and checks that the
+// observable timeline (the clock after every Sleep) and the events_executed
+// accounting match their closed-form values, i.e. that consuming a resume
+// inline is indistinguishable from dispatching it. The program mixes sleeps
+// that hit the inline fast path (nothing else pending), sleeps that must take
+// the slow path (a competing timer is due first), zero-length sleeps (the
+// same-time ring), and a far sleep that lands in the wheel's overflow heap.
 func TestSleepFastPathEquivalence(t *testing.T) {
-	run := func(kind SchedKind) ([]Time, int64) {
-		e := NewEngineSched(kind)
-		defer e.Shutdown()
-		var timeline []Time
-		ticks := 0
-		e.Spawn("sleeper", func(p *Proc) {
-			p.Sleep(3 * Nanosecond) // inline: queue otherwise empty
-			timeline = append(timeline, p.Now())
-			p.Sleep(0) // ring path
-			timeline = append(timeline, p.Now())
-			e.After(Nanosecond, func() { ticks++ }) // competing timer...
-			p.Sleep(5 * Nanosecond)                 // ...forces the slow path
-			timeline = append(timeline, p.Now())
-			p.Sleep(10 * Millisecond) // far: overflow heap under the wheel
-			timeline = append(timeline, p.Now())
-			for i := 0; i < 100; i++ {
-				p.Sleep(Time(i%7+1) * 64 * Nanosecond) // spans several slot widths
-			}
-			timeline = append(timeline, p.Now())
-		})
-		e.Run()
-		if ticks != 1 {
-			t.Fatalf("%v: competing timer ran %d times, want 1", kind, ticks)
+	e := NewEngine()
+	defer e.Shutdown()
+	var timeline []Time
+	ticks := 0
+	e.Spawn("sleeper", func(p *Proc) {
+		p.Sleep(3 * Nanosecond) // inline: queue otherwise empty
+		timeline = append(timeline, p.Now())
+		p.Sleep(0) // ring path
+		timeline = append(timeline, p.Now())
+		e.After(Nanosecond, func() { ticks++ }) // competing timer...
+		p.Sleep(5 * Nanosecond)                 // ...forces the slow path
+		timeline = append(timeline, p.Now())
+		p.Sleep(10 * Millisecond) // far: overflow heap
+		timeline = append(timeline, p.Now())
+		for i := 0; i < 100; i++ {
+			p.Sleep(Time(i%7+1) * 64 * Nanosecond) // spans several slot widths
 		}
-		return timeline, e.Tracer().Metrics().Counter("sim.events_executed").Value()
+		timeline = append(timeline, p.Now())
+	})
+	e.Run()
+	if ticks != 1 {
+		t.Fatalf("competing timer ran %d times, want 1", ticks)
 	}
-	wheelTL, wheelN := run(SchedWheel)
-	heapTL, heapN := run(SchedHeap)
-	if !reflect.DeepEqual(wheelTL, heapTL) {
-		t.Errorf("timelines differ:\nwheel %v\nheap  %v", wheelTL, heapTL)
-	}
-	if wheelN != heapN {
-		t.Errorf("events_executed differ: wheel %d, heap %d", wheelN, heapN)
+	// The 100 sleeps sum to (14 cycles of 1..7 = 392, plus 1+2) * 64ns.
+	far := 10*Millisecond + 8*Nanosecond
+	want := []Time{3 * Nanosecond, 3 * Nanosecond, 8 * Nanosecond, far, far + 395*64*Nanosecond}
+	if !reflect.DeepEqual(timeline, want) {
+		t.Errorf("timeline = %v, want %v", timeline, want)
 	}
 	// 1 spawn resume + 104 sleeps + 1 competing timer, counted whether the
 	// dispatch loop or the inline fast path consumed them.
-	if want := int64(106); wheelN != want {
-		t.Errorf("events_executed = %d, want %d", wheelN, want)
+	if n := e.Tracer().Metrics().Counter("sim.events_executed").Value(); n != 106 {
+		t.Errorf("events_executed = %d, want 106", n)
 	}
 }
 
@@ -58,28 +53,24 @@ func TestSleepFastPathEquivalence(t *testing.T) {
 // whose resume is the next event must still not advance the clock past the
 // active RunUntil limit, even though nothing else is queued.
 func TestSleepFastPathRespectsRunUntilLimit(t *testing.T) {
-	for _, kind := range []SchedKind{SchedWheel, SchedHeap} {
-		t.Run(kind.String(), func(t *testing.T) {
-			e := NewEngineSched(kind)
-			defer e.Shutdown()
-			resumed := false
-			e.Spawn("sleeper", func(p *Proc) {
-				p.Sleep(100 * Nanosecond)
-				resumed = true
-			})
-			if got := e.RunUntil(10 * Nanosecond); got != 10*Nanosecond {
-				t.Fatalf("RunUntil(10ns) = %v", got)
-			}
-			if resumed {
-				t.Fatal("process resumed before its wake-up time")
-			}
-			if got := e.RunUntil(200 * Nanosecond); got != 100*Nanosecond {
-				t.Fatalf("RunUntil(200ns) = %v, want 100ns", got)
-			}
-			if !resumed {
-				t.Fatal("process did not resume")
-			}
-		})
+	e := NewEngine()
+	defer e.Shutdown()
+	resumed := false
+	e.Spawn("sleeper", func(p *Proc) {
+		p.Sleep(100 * Nanosecond)
+		resumed = true
+	})
+	if got := e.RunUntil(10 * Nanosecond); got != 10*Nanosecond {
+		t.Fatalf("RunUntil(10ns) = %v", got)
+	}
+	if resumed {
+		t.Fatal("process resumed before its wake-up time")
+	}
+	if got := e.RunUntil(200 * Nanosecond); got != 100*Nanosecond {
+		t.Fatalf("RunUntil(200ns) = %v, want 100ns", got)
+	}
+	if !resumed {
+		t.Fatal("process did not resume")
 	}
 }
 
