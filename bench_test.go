@@ -16,8 +16,19 @@ import (
 	"testing"
 
 	"m3v/internal/bench"
+	"m3v/internal/sim"
 	"m3v/internal/traces"
 )
+
+// runExp runs one experiment driver with the default parameters.
+func runExp(b *testing.B, exp func(bench.Params, *sim.Canceler) (*bench.Result, error)) *bench.Result {
+	b.Helper()
+	r, err := exp(bench.Params{}, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return r
+}
 
 // report prints the experiment table and exports each row as a benchmark
 // metric (metric units must not contain whitespace). Two distinct labels can
@@ -69,7 +80,7 @@ func TestReportMetricCollisions(t *testing.T) {
 // (~6% logic, four registers).
 func BenchmarkTable1Complexity(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		report(b, bench.Table1())
+		report(b, runExp(b, bench.Table1))
 	}
 }
 
@@ -77,7 +88,7 @@ func BenchmarkTable1Complexity(b *testing.B) {
 // the controller and TileMux.
 func BenchmarkSoftwareComplexity(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		report(b, bench.SoftwareComplexity())
+		report(b, runExp(b, bench.SoftwareComplexity))
 	}
 }
 
@@ -85,7 +96,7 @@ func BenchmarkSoftwareComplexity(b *testing.B) {
 // no-op RPCs on M³v against Linux's no-op syscall and double yield.
 func BenchmarkFig6Microbench(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		report(b, bench.Fig6())
+		report(b, runExp(b, bench.Fig6))
 	}
 }
 
@@ -93,7 +104,7 @@ func BenchmarkFig6Microbench(b *testing.B) {
 // extent-based m3fs (shared and isolated) against Linux tmpfs.
 func BenchmarkFig7FS(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		report(b, bench.Fig7())
+		report(b, runExp(b, bench.Fig7))
 	}
 }
 
@@ -101,7 +112,7 @@ func BenchmarkFig7FS(b *testing.B) {
 // directly connected peer.
 func BenchmarkFig8UDP(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		report(b, bench.Fig8())
+		report(b, runExp(b, bench.Fig8))
 	}
 }
 
@@ -110,7 +121,7 @@ func BenchmarkFig8UDP(b *testing.B) {
 // counts. This is the paper's headline scalability result.
 func BenchmarkFig9Scalability(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		report(b, bench.Fig9())
+		report(b, runExp(b, bench.Fig9))
 	}
 }
 
@@ -130,7 +141,7 @@ func BenchmarkFig9FindOneTile(b *testing.B) {
 // the IoT voice assistant with and without tile sharing.
 func BenchmarkVoiceAssistant(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		report(b, bench.VoiceAssistant())
+		report(b, runExp(b, bench.VoiceAssistant))
 	}
 }
 
@@ -139,7 +150,7 @@ func BenchmarkVoiceAssistant(b *testing.B) {
 // splits.
 func BenchmarkFig10Cloud(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		report(b, bench.Fig10())
+		report(b, runExp(b, bench.Fig10))
 	}
 }
 
@@ -147,6 +158,6 @@ func BenchmarkFig10Cloud(b *testing.B) {
 // calls out, most importantly §3.5's rejected TileMux-mediation design.
 func BenchmarkAblations(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		report(b, bench.Ablations())
+		report(b, runExp(b, bench.Ablations))
 	}
 }

@@ -124,8 +124,9 @@ go test -count=1 -run 'TestNoSamplerZeroCost' ./internal/sim
 echo "== serve smoke =="
 # Daemon gate: m3vd on an ephemeral port must answer duplicate requests
 # byte-identically with the second served from cache (counter-verified via
-# /metrics), distinct requests must differ, a duplicate-heavy m3vload run
-# must succeed, and SIGTERM must drain to exit 0.
+# /metrics), distinct requests must differ, every registry experiment is
+# servable (table1, the cheapest, must answer 200), a duplicate-heavy
+# m3vload run must succeed, and SIGTERM must drain to exit 0.
 go build -o "$TRACE_TMP/m3vd" ./cmd/m3vd
 go build -o "$TRACE_TMP/m3vload" ./cmd/m3vload
 "$TRACE_TMP/m3vd" -addr 127.0.0.1:0 -portfile "$TRACE_TMP/m3vd.port" \
@@ -149,6 +150,9 @@ cmp "$TRACE_TMP/run-a.json" "$TRACE_TMP/run-b.json"   # duplicates byte-identica
 if cmp -s "$TRACE_TMP/run-a.json" "$TRACE_TMP/run-c.json"; then
     echo "distinct requests returned identical bodies"; exit 1
 fi
+"$TRACE_TMP/m3vload" -addr "$M3VD_ADDR" -single -experiment table1 \
+    -out "$TRACE_TMP/run-d.json"            # exits non-zero unless 200
+grep -q '"schema": "m3vd/v3"' "$TRACE_TMP/run-d.json"
 "$TRACE_TMP/m3vload" -addr "$M3VD_ADDR" -fetch /metrics \
     > "$TRACE_TMP/m3vd-metrics.txt"
 grep -Eq 'serve\.cache_hits [1-9]' "$TRACE_TMP/m3vd-metrics.txt"

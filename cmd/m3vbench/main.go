@@ -22,25 +22,9 @@ import (
 	"time"
 
 	"m3v/internal/bench"
-	"m3v/internal/core"
-	"m3v/internal/fault"
 	"m3v/internal/sim"
 	"m3v/internal/trace"
 )
-
-// The dispatch table comes from the shared experiment registry
-// (bench.Experiments), the single source of truth for experiment names used
-// here and by the m3vd serving layer: order preserves the registry's
-// canonical run sequence, experiments indexes it by ID.
-var order, experiments = func() ([]string, map[string]func() *bench.Result) {
-	var ids []string
-	byID := make(map[string]func() *bench.Result)
-	for _, e := range bench.Experiments() {
-		ids = append(ids, e.ID)
-		byID[e.ID] = e.Run
-	}
-	return ids, byID
-}()
 
 // benchRow is one table row in the -bench-json report.
 type benchRow struct {
@@ -134,10 +118,7 @@ type options struct {
 	benchJSON     string
 	baseline      string
 	compareSerial bool
-	fig9Series    []int
-	faultSeed     uint64
-	faultRate     float64
-	sampleEvery   sim.Time
+	params        bench.Params
 	seriesFile    string
 	cpuProfile    string
 	memProfile    string
@@ -156,9 +137,7 @@ func parseOptions(args []string) (*options, error) {
 	fs.StringVar(&o.benchJSON, "bench-json", "", "write wall-clock and simulated metrics to this JSON file")
 	fs.BoolVar(&o.compareSerial, "compare-serial", false, "run each experiment twice (parallel and -parallel 1), assert byte-identical tables, and record the speedup")
 	fig9Tiles := fs.String("fig9-tiles", "", "override the fig9 tile-count series, e.g. 1,2,4 (smoke runs)")
-	fs.Uint64Var(&o.faultSeed, "fault-seed", 1, "fault-injection schedule seed (with -fault-rate)")
-	fs.Float64Var(&o.faultRate, "fault-rate", 0, "uniform fault-injection rate in [0,1] applied to every simulated system (0 disables)")
-	sampleIvl := fs.String("sample-interval", "", "telemetry sampling interval in sim time applied to every simulated system (e.g. 100ns; empty disables)")
+	checkParams := o.params.BindFlags(fs)
 	fs.StringVar(&o.seriesFile, "series", "", "write the sampled telemetry series of all runs as m3vseries JSON (report with m3vstat)")
 	fs.StringVar(&o.baseline, "baseline", "", "compare wall clock against a previous BENCH_m3vbench.json (older schemas accepted with a warning)")
 	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
@@ -172,17 +151,10 @@ func parseOptions(args []string) (*options, error) {
 	if o.parallel < 1 {
 		return nil, fmt.Errorf("-parallel must be >= 1, got %d", o.parallel)
 	}
-	if o.faultRate < 0 || o.faultRate > 1 {
-		return nil, fmt.Errorf("-fault-rate must be in [0,1], got %g", o.faultRate)
+	if err := checkParams(); err != nil {
+		return nil, err
 	}
-	if *sampleIvl != "" {
-		var err error
-		o.sampleEvery, err = sim.ParseTime(*sampleIvl)
-		if err != nil {
-			return nil, fmt.Errorf("-sample-interval: %w", err)
-		}
-	}
-	if o.seriesFile != "" && o.sampleEvery == 0 {
+	if o.seriesFile != "" && o.params.SampleInterval == 0 {
 		return nil, fmt.Errorf("-series requires -sample-interval")
 	}
 	if *fig9Tiles != "" {
@@ -190,7 +162,7 @@ func parseOptions(args []string) (*options, error) {
 		if err != nil {
 			return nil, err
 		}
-		o.fig9Series = series
+		o.params.Fig9Series = series
 	}
 	return o, nil
 }
@@ -210,8 +182,8 @@ func parseTiles(s string) ([]int, error) {
 
 // listExperiments prints the experiment ids in run order.
 func listExperiments(out io.Writer) {
-	for _, id := range order {
-		fmt.Fprintln(out, id)
+	for _, e := range bench.Experiments() {
+		fmt.Fprintln(out, e.ID)
 	}
 }
 
@@ -241,19 +213,6 @@ func main() {
 			f.Close()
 		}()
 	}
-	if o.fig9Series != nil {
-		bench.Fig9Tiles = o.fig9Series
-	}
-	if o.faultRate > 0 {
-		// Experiments build their Systems internally with per-experiment
-		// configs; the process-wide default reaches all of them.
-		core.SetDefaultFault(fault.Uniform(o.faultSeed, o.faultRate))
-	}
-	if o.sampleEvery > 0 {
-		// Same pattern for telemetry sampling: every simulated system arms a
-		// sampler at this interval.
-		core.SetDefaultSampling(core.SampleConfig{Interval: o.sampleEvery})
-	}
 	// Experiments build their Systems internally; collect every recorder
 	// created while they run via the global auto-register hook. Under
 	// -parallel the registration order follows run completion, so merged
@@ -267,9 +226,17 @@ func main() {
 		trace.SetAutoRegister(true, o.traceFile != "" || o.flowsFile != "")
 		defer trace.SetAutoRegister(false, false)
 	}
-	ids := order
-	if o.run != "" {
-		ids = strings.Split(o.run, ",")
+	var exps []bench.Experiment
+	if o.run == "" {
+		exps = bench.Experiments()
+	} else {
+		for _, id := range strings.Split(o.run, ",") {
+			e, ok := bench.Lookup(strings.TrimSpace(id))
+			if !ok {
+				fail("unknown experiment %q (try -list)", id)
+			}
+			exps = append(exps, e)
+		}
 	}
 	report := benchReport{
 		Schema:    benchSchema,
@@ -279,15 +246,14 @@ func main() {
 		Parallel:  o.parallel,
 	}
 	t0 := time.Now()
-	for _, id := range ids {
-		fn, ok := experiments[strings.TrimSpace(id)]
-		if !ok {
-			fail("unknown experiment %q (try -list)", id)
-		}
+	for _, e := range exps {
 		ev0 := sim.TotalEventsExecuted()
 		recStart := len(trace.Registered())
 		start := time.Now()
-		r := fn()
+		r, err := e.Run(o.params, nil)
+		if err != nil {
+			fail("%s: %v", e.ID, err)
+		}
 		wall := time.Since(start)
 		events := sim.TotalEventsExecuted() - ev0
 		fmt.Println(r)
@@ -312,7 +278,10 @@ func main() {
 		if o.compareSerial {
 			bench.SetParallelism(1)
 			serialStart := time.Now()
-			sr := fn()
+			sr, err := e.Run(o.params, nil)
+			if err != nil {
+				fail("%s: %v", e.ID, err)
+			}
 			serialWall := time.Since(serialStart)
 			bench.SetParallelism(o.parallel)
 			identical := sr.String() == r.String()

@@ -14,25 +14,21 @@ import (
 	"m3v/internal/trace"
 )
 
-// TestRegistryAgreement checks that the names m3vbench accepts are exactly
-// the shared registry's IDs, in registry order, and pins the canonical
-// list: m3vd dispatches from the same table, so a drift here would split
-// the CLI and the serving layer.
+// TestRegistryAgreement pins the canonical experiment list m3vbench runs
+// and checks that every ID resolves through bench.Lookup, the dispatch
+// m3vbench shares with the m3vd serving layer.
 func TestRegistryAgreement(t *testing.T) {
 	want := []string{"table1", "sloc", "fig6", "fig7", "fig8", "fig9", "voice", "fig10", "ablation"}
-	if !reflect.DeepEqual(order, want) {
-		t.Errorf("order = %v, want %v", order, want)
+	var ids []string
+	for _, e := range bench.Experiments() {
+		ids = append(ids, e.ID)
 	}
-	reg := bench.Experiments()
-	if len(reg) != len(order) {
-		t.Fatalf("registry has %d entries, m3vbench accepts %d", len(reg), len(order))
+	if !reflect.DeepEqual(ids, want) {
+		t.Errorf("registry = %v, want %v", ids, want)
 	}
-	for i, e := range reg {
-		if order[i] != e.ID {
-			t.Errorf("order[%d] = %q, registry %q", i, order[i], e.ID)
-		}
-		if fn, ok := experiments[e.ID]; !ok || fn == nil {
-			t.Errorf("experiment %q has no m3vbench driver", e.ID)
+	for _, id := range want {
+		if e, ok := bench.Lookup(id); !ok || e.Run == nil {
+			t.Errorf("experiment %q has no driver", id)
 		}
 	}
 }
@@ -46,11 +42,11 @@ func TestParseOptionsDefaults(t *testing.T) {
 	if o.run != "" || o.list || o.parallel != runtime.NumCPU() {
 		t.Errorf("defaults = %+v", o)
 	}
-	if o.fig9Series != nil {
-		t.Errorf("fig9Series default = %v, want nil", o.fig9Series)
+	if o.params.Fig9Series != nil {
+		t.Errorf("fig9Series default = %v, want nil", o.params.Fig9Series)
 	}
-	if o.faultSeed != 1 || o.faultRate != 0 {
-		t.Errorf("fault defaults = seed %d rate %g, want 1/0", o.faultSeed, o.faultRate)
+	if o.params.FaultSeed != 1 || o.params.FaultRate != 0 {
+		t.Errorf("fault defaults = seed %d rate %g, want 1/0", o.params.FaultSeed, o.params.FaultRate)
 	}
 }
 
@@ -84,27 +80,26 @@ func TestParseOptionsFig9Tiles(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parseOptions: %v", err)
 	}
-	if !reflect.DeepEqual(o.fig9Series, []int{1, 2, 4}) {
-		t.Errorf("fig9Series = %v, want [1 2 4]", o.fig9Series)
+	if !reflect.DeepEqual(o.params.Fig9Series, []int{1, 2, 4}) {
+		t.Errorf("fig9Series = %v, want [1 2 4]", o.params.Fig9Series)
 	}
-	if o.run != "fig9" || o.faultRate != 0.1 || o.faultSeed != 7 {
+	if o.run != "fig9" || o.params.FaultRate != 0.1 || o.params.FaultSeed != 7 {
 		t.Errorf("options = %+v", o)
 	}
 }
 
 // TestListExperiments checks the -list output covers every experiment in
-// run order.
+// registry order.
 func TestListExperiments(t *testing.T) {
 	var out strings.Builder
 	listExperiments(&out)
 	lines := strings.Fields(out.String())
-	if !reflect.DeepEqual(lines, order) {
-		t.Errorf("-list = %v, want %v", lines, order)
+	var want []string
+	for _, e := range bench.Experiments() {
+		want = append(want, e.ID)
 	}
-	for _, id := range lines {
-		if _, ok := experiments[id]; !ok {
-			t.Errorf("listed experiment %q has no driver", id)
-		}
+	if !reflect.DeepEqual(lines, want) {
+		t.Errorf("-list = %v, want %v", lines, want)
 	}
 }
 
@@ -194,8 +189,8 @@ func TestParseOptionsSampling(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parseOptions: %v", err)
 	}
-	if o.sampleEvery != 100*sim.Nanosecond || o.seriesFile != "s.json" {
-		t.Errorf("sampling options = every %v, series %q", o.sampleEvery, o.seriesFile)
+	if o.params.SampleInterval != 100*sim.Nanosecond || o.seriesFile != "s.json" {
+		t.Errorf("sampling options = every %v, series %q", o.params.SampleInterval, o.seriesFile)
 	}
 }
 

@@ -17,8 +17,7 @@ import (
 	"strings"
 
 	"m3v"
-	"m3v/internal/fault"
-	"m3v/internal/sim"
+	"m3v/internal/bench"
 	"m3v/internal/trace"
 )
 
@@ -46,10 +45,9 @@ func run(args []string, out io.Writer) error {
 	traceFile := fs.String("trace", "", "write a Chrome trace-event JSON file (load in Perfetto)")
 	flowsFile := fs.String("flows", "", "write the causal span streams as m3vflows JSON (analyze with m3vtrace)")
 	metrics := fs.Bool("metrics", false, "print the metrics registry summary after the run")
-	faultSeed := fs.Uint64("fault-seed", 1, "fault-injection schedule seed (with -fault-rate)")
-	faultRate := fs.Float64("fault-rate", 0, "uniform fault-injection rate in [0,1] (0 disables injection)")
+	var params bench.Params
+	checkParams := params.BindFlags(fs)
 	traceHash := fs.Bool("trace-hash", false, "enable tracing and print the run's event and span hashes")
-	sampleIvl := fs.String("sample-interval", "", "telemetry sampling interval in sim time (e.g. 100ns, 1us; empty disables sampling)")
 	seriesFile := fs.String("series", "", "write sampled telemetry series to this file (JSON; a .csv suffix selects CSV long format)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file on clean exit")
@@ -62,18 +60,10 @@ func run(args []string, out io.Writer) error {
 	if *rounds < 1 {
 		return fmt.Errorf("-rounds must be >= 1, got %d", *rounds)
 	}
-	if *faultRate < 0 || *faultRate > 1 {
-		return fmt.Errorf("-fault-rate must be in [0,1], got %g", *faultRate)
+	if err := checkParams(); err != nil {
+		return err
 	}
-	var sampleEvery sim.Time
-	if *sampleIvl != "" {
-		var err error
-		sampleEvery, err = sim.ParseTime(*sampleIvl)
-		if err != nil {
-			return fmt.Errorf("-sample-interval: %w", err)
-		}
-	}
-	if *seriesFile != "" && sampleEvery == 0 {
+	if *seriesFile != "" && params.SampleInterval == 0 {
 		return fmt.Errorf("-series requires -sample-interval")
 	}
 	if *cpuProfile != "" {
@@ -95,12 +85,7 @@ func run(args []string, out io.Writer) error {
 	if *gem5 {
 		cfg = m3v.Gem5(4)
 	}
-	if *faultRate > 0 {
-		cfg.Fault = fault.Uniform(*faultSeed, *faultRate)
-	}
-	if sampleEvery > 0 {
-		cfg.Sample = m3v.SampleConfig{Interval: sampleEvery}
-	}
+	params.Apply(&cfg)
 	sys := m3v.NewSystem(cfg)
 	defer sys.Shutdown()
 	if *traceFile != "" || *flowsFile != "" || *traceHash {
@@ -160,7 +145,7 @@ func run(args []string, out io.Writer) error {
 	}
 	if in := sys.Fault; in != nil {
 		fmt.Fprintf(out, "faults:   seed %d rate %g: %d drops, %d delays, %d dups, %d cmd fails, %d retries, %d giveups, %d stalls\n",
-			*faultSeed, *faultRate, in.NoCDrops(), in.NoCDelays(), in.NoCDups(),
+			params.FaultSeed, params.FaultRate, in.NoCDrops(), in.NoCDelays(), in.NoCDups(),
 			in.CmdFails(), in.CmdRetries(), in.CmdGiveups(), in.MuxStalls())
 	}
 	rec := sys.Eng.Tracer()

@@ -6,6 +6,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"m3v/internal/bench"
 )
@@ -14,6 +15,9 @@ func main() {
 	fmt.Println("Cloud service (paper §6.5.2, Figure 10)")
 	fmt.Println("LSM store + m3fs + net + pager; YCSB read/insert/update/mixed/scan.")
 	fmt.Println()
-	r := bench.Fig10()
+	r, err := bench.Fig10(bench.Params{}, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println(r)
 }

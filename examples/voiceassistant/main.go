@@ -6,6 +6,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"m3v/internal/bench"
 )
@@ -15,6 +16,9 @@ func main() {
 	fmt.Println("scanner listens on the Rocket tile; compressor, net, and pager")
 	fmt.Println("either share one BOOM core or run isolated.")
 	fmt.Println()
-	r := bench.VoiceAssistant()
+	r, err := bench.VoiceAssistant(bench.Params{}, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println(r)
 }

@@ -19,17 +19,15 @@ import (
 //     per-page checks) would save per-command overhead on large transfers;
 //     we report the read throughput cost of the restriction by doubling the
 //     per-command cost while halving the command count.
-func Ablations() *Result {
-	r := &Result{ID: "ablation", Title: "Design-choice ablations"}
-
+func Ablations(p Params, c *sim.Canceler) (*Result, error) {
 	// The three measurements are independent systems; run them as sweep
 	// points.
 	pts := runPoints(3, func(i int) sim.Time {
 		switch i {
 		case 0:
-			return measureM3vRPC(false, 50)
+			return measureM3vRPC(p, c, false, 50)
 		case 1:
-			return measureRPCWithCosts(50, func(c *dtu.Costs) {
+			return measureRPCWithCosts(p, c, 50, func(c *dtu.Costs) {
 				// Every command traps into TileMux: trap entry/exit, argument
 				// copy, endpoint-ownership validation in software, and the
 				// return — charged on top of the hardware command itself.
@@ -44,9 +42,13 @@ func Ablations() *Result {
 			// --- 2: single-page transfer restriction --------------------
 			// The restriction shows up as one command per page on the data
 			// path; report the measured per-command share of a 4 KiB read.
-			return measureRPCWithCosts(20, nil)
+			return measureRPCWithCosts(p, c, 20, nil)
 		}
 	})
+	if c.Cancelled() {
+		return nil, ErrCancelled
+	}
+	r := &Result{ID: "ablation", Title: "Design-choice ablations"}
 	base, mediated, one := pts[0], pts[1], pts[2]
 
 	// --- 1: endpoint tagging vs TileMux mediation -----------------------
@@ -57,13 +59,13 @@ func Ablations() *Result {
 	r.Add("per-command overhead at 80MHz", sim.MHz(80).Cycles(520).Micros(), "us", 0)
 	_ = one
 	r.Note("paper §3.5: mediation cost is why activities use the vDTU directly")
-	return r
+	return r, nil
 }
 
 // measureRPCWithCosts measures a remote no-op RPC with modified vDTU costs
 // on both endpoints' tiles.
-func measureRPCWithCosts(rounds int, mutate func(*dtu.Costs)) sim.Time {
-	sys := core.New(core.FPGAConfig())
+func measureRPCWithCosts(p Params, c *sim.Canceler, rounds int, mutate func(*dtu.Costs)) sim.Time {
+	sys := p.newSystem(core.FPGAConfig(), c)
 	defer sys.Shutdown()
 	procs := sys.Cfg.ProcessingTiles()
 	if mutate != nil {

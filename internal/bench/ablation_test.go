@@ -3,7 +3,7 @@ package bench
 import "testing"
 
 func TestAblationMediationShape(t *testing.T) {
-	r := Ablations()
+	r := mustRun(t, Ablations, Params{})
 	t.Log("\n" + r.String())
 	slow := r.Get("mediation slowdown")
 	if slow < 4 {

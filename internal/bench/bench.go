@@ -70,11 +70,16 @@ func (r *Result) Get(label string) float64 {
 	return 0
 }
 
-// All runs every experiment in paper order (the registry's order).
-func All() []*Result {
+// All runs every experiment in paper order (the registry's order) with the
+// default parameters. It stops at the first failing experiment.
+func All() ([]*Result, error) {
 	var out []*Result
 	for _, e := range Experiments() {
-		out = append(out, e.Run())
+		r, err := e.Run(Params{}, nil)
+		if err != nil {
+			return out, fmt.Errorf("%s: %w", e.ID, err)
+		}
+		out = append(out, r)
 	}
-	return out
+	return out, nil
 }

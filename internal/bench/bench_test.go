@@ -11,7 +11,7 @@ import (
 func ycsbReadHeavy() ycsb.Mix { return ycsb.ReadHeavy }
 
 func TestFig6Shape(t *testing.T) {
-	r := Fig6()
+	r := mustRun(t, Fig6, Params{})
 	t.Log("\n" + r.String())
 	remote := r.Get("M3v remote")
 	local := r.Get("M3v local")
@@ -35,7 +35,7 @@ func TestFig6Shape(t *testing.T) {
 }
 
 func TestFig7Shape(t *testing.T) {
-	r := Fig7()
+	r := mustRun(t, Fig7, Params{})
 	t.Log("\n" + r.String())
 	for _, label := range []string{"Linux read", "Linux write",
 		"M3v read (shared)", "M3v read (isolated)",
@@ -65,7 +65,7 @@ func TestFig7Shape(t *testing.T) {
 }
 
 func TestFig8Shape(t *testing.T) {
-	r := Fig8()
+	r := mustRun(t, Fig8, Params{})
 	t.Log("\n" + r.String())
 	linux := r.Get("Linux")
 	shared := r.Get("M3v (shared)")
@@ -89,8 +89,8 @@ func TestFig9SingleTileTwoFold(t *testing.T) {
 		name string
 		mk   func() *traces.Trace
 	}{{"find", traces.Find}, {"SQLite", traces.SQLite}} {
-		m3v := fig9Throughput(false, 1, tr.mk)
-		m3x := fig9Throughput(true, 1, tr.mk)
+		m3v := Fig9Point(false, 1, tr.mk)
+		m3x := Fig9Point(true, 1, tr.mk)
 		t.Logf("%s 1 tile: M3v %.0f runs/s, M3x %.0f runs/s (%.2fx)", tr.name, m3v, m3x, m3v/m3x)
 		if m3v <= m3x {
 			t.Errorf("%s: M3v (%.0f) should beat M3x (%.0f) on one tile", tr.name, m3v, m3x)
@@ -107,12 +107,12 @@ func TestFig9Scalability(t *testing.T) {
 	}
 	// M3v scales almost linearly; M3x plateaus.
 	mk := traces.Find
-	v1 := fig9Throughput(false, 1, mk)
-	v4 := fig9Throughput(false, 4, mk)
-	v8 := fig9Throughput(false, 8, mk)
-	x1 := fig9Throughput(true, 1, mk)
-	x4 := fig9Throughput(true, 4, mk)
-	x8 := fig9Throughput(true, 8, mk)
+	v1 := Fig9Point(false, 1, mk)
+	v4 := Fig9Point(false, 4, mk)
+	v8 := Fig9Point(false, 8, mk)
+	x1 := Fig9Point(true, 1, mk)
+	x4 := Fig9Point(true, 4, mk)
+	x8 := Fig9Point(true, 8, mk)
 	t.Logf("M3v find: 1->%.0f 4->%.0f 8->%.0f runs/s", v1, v4, v8)
 	t.Logf("M3x find: 1->%.0f 4->%.0f 8->%.0f runs/s", x1, x4, x8)
 	if v8 < 6*v1 {
@@ -127,7 +127,7 @@ func TestFig9Scalability(t *testing.T) {
 }
 
 func TestVoiceAssistantShape(t *testing.T) {
-	r := VoiceAssistant()
+	r := mustRun(t, VoiceAssistant, Params{})
 	t.Log("\n" + r.String())
 	iso := r.Get("isolated")
 	sh := r.Get("shared")
@@ -148,9 +148,9 @@ func TestVoiceAssistantShape(t *testing.T) {
 
 func TestFig10ReadHeavyShape(t *testing.T) {
 	// One mix end-to-end (the full figure runs in the harness).
-	iso := m3vCloud(ycsbReadHeavy(), false)
-	sh := m3vCloud(ycsbReadHeavy(), true)
-	lx := linuxCloud(ycsbReadHeavy())
+	iso := m3vCloud(Params{}, nil, ycsbReadHeavy(), false)
+	sh := m3vCloud(Params{}, nil, ycsbReadHeavy(), true)
+	lx := linuxCloud(nil, ycsbReadHeavy())
 	t.Logf("read-heavy: iso=%v shared=%v linux=%v", iso.total, sh.total, lx.total)
 	if iso.total <= 0 || sh.total <= 0 || lx.total <= 0 {
 		t.Fatal("missing measurements")
@@ -168,7 +168,7 @@ func TestFig10ReadHeavyShape(t *testing.T) {
 }
 
 func TestTable1Shape(t *testing.T) {
-	r := Table1()
+	r := mustRun(t, Table1, Params{})
 	t.Log("\n" + r.String())
 	delta := r.Get("virtualization logic delta")
 	if delta < 3 || delta > 12 {
@@ -184,7 +184,7 @@ func TestTable1Shape(t *testing.T) {
 }
 
 func TestSoftwareComplexityShape(t *testing.T) {
-	r := SoftwareComplexity()
+	r := mustRun(t, SoftwareComplexity, Params{})
 	t.Log("\n" + r.String())
 	c := r.Get("controller")
 	m := r.Get("TileMux")
@@ -205,8 +205,8 @@ func TestFig10ScanAnomaly(t *testing.T) {
 	// Paper §6.5.2: "Linux performs worse than M3v (shared) for scans" —
 	// the application loses its cache state on every system call, while
 	// M3v handles block reads through the vDTU without context switches.
-	sh := m3vCloud(ycsb.ScanHeavy, true)
-	lx := linuxCloud(ycsb.ScanHeavy)
+	sh := m3vCloud(Params{}, nil, ycsb.ScanHeavy, true)
+	lx := linuxCloud(nil, ycsb.ScanHeavy)
 	t.Logf("scan-heavy: shared=%v linux=%v", sh.total, lx.total)
 	if lx.total <= sh.total {
 		t.Errorf("Linux (%v) should be slower than M3v shared (%v) on scans", lx.total, sh.total)

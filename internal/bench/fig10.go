@@ -68,8 +68,8 @@ func runYCSB(db *kvs.DB, w *ycsb.Workload, send func([]byte)) error {
 
 // m3vCloud measures one workload mix on M³v. shared puts the database, the
 // file system, the network stack, and the pager on one BOOM core.
-func m3vCloud(mix ycsb.Mix, shared bool) cloudTimes {
-	sys := core.New(core.FPGAConfig())
+func m3vCloud(p Params, c *sim.Canceler, mix ycsb.Mix, shared bool) cloudTimes {
+	sys := p.newSystem(core.FPGAConfig(), c)
 	defer sys.Shutdown()
 	procs := sys.Cfg.ProcessingTiles()
 	dbTile := procs[1]
@@ -187,8 +187,8 @@ func m3vCloud(mix ycsb.Mix, shared bool) cloudTimes {
 
 // linuxCloud measures one workload mix on the Linux model (file system and
 // network stack run in the kernel: their time is system time).
-func linuxCloud(mix ycsb.Mix) cloudTimes {
-	eng := sim.NewEngine()
+func linuxCloud(c *sim.Canceler, mix ycsb.Mix) cloudTimes {
+	eng := newLinuxEngine(c)
 	defer eng.Shutdown()
 	m := linuxos.New(eng, sim.MHz(80))
 	m.PeerEcho = nil
@@ -260,21 +260,24 @@ func linuxCloud(mix ycsb.Mix) cloudTimes {
 // isolated/shared vs Linux, runtime split into user and system time. Each
 // (mix, system) configuration is an independent simulation; the sweep fans
 // out across the worker pool.
-func Fig10() *Result {
-	r := &Result{ID: "fig10", Title: "Cloud service (YCSB on LSM store), runtime per run"}
+func Fig10(p Params, c *sim.Canceler) (*Result, error) {
 	// Three configurations per mix: M3v isolated, M3v shared, Linux.
 	const perMix = 3
 	times := runPoints(len(ycsb.Mixes)*perMix, func(i int) cloudTimes {
 		mx := ycsb.Mixes[i/perMix]
 		switch i % perMix {
 		case 0:
-			return m3vCloud(mx.Mix, false)
+			return m3vCloud(p, c, mx.Mix, false)
 		case 1:
-			return m3vCloud(mx.Mix, true)
+			return m3vCloud(p, c, mx.Mix, true)
 		default:
-			return linuxCloud(mx.Mix)
+			return linuxCloud(c, mx.Mix)
 		}
 	})
+	if c.Cancelled() {
+		return nil, ErrCancelled
+	}
+	r := &Result{ID: "fig10", Title: "Cloud service (YCSB on LSM store), runtime per run"}
 	for mi, mx := range ycsb.Mixes {
 		iso, sh, lx := times[mi*perMix], times[mi*perMix+1], times[mi*perMix+2]
 		r.Add(fmt.Sprintf("%s M3v isolated total", mx.Name), iso.total.Millis(), "ms", 0)
@@ -284,5 +287,5 @@ func Fig10() *Result {
 		r.Add(fmt.Sprintf("%s Linux system", mx.Name), lx.system.Millis(), "ms", 0)
 	}
 	r.Note("shape: M3v shared competitive with Linux for read/insert/update; Linux worse for scans (per-syscall cache refills); isolated fastest but not comparable (extra tiles)")
-	return r
+	return r, nil
 }

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 
 	"m3v/internal/activity"
@@ -20,8 +21,8 @@ type rpcShare struct {
 // measureM3vRPC times no-op RPCs between two activities, tile-local or
 // cross-tile, on BOOM cores (paper §6.2: 1000 runs with a warm system; we
 // use fewer repetitions since the simulation is deterministic).
-func measureM3vRPC(sameTile bool, rounds int) sim.Time {
-	sys := core.New(core.FPGAConfig())
+func measureM3vRPC(p Params, c *sim.Canceler, sameTile bool, rounds int) sim.Time {
+	sys := p.newSystem(core.FPGAConfig(), c)
 	defer sys.Shutdown()
 	procs := sys.Cfg.ProcessingTiles()
 	clientTile := procs[1] // first BOOM core
@@ -100,8 +101,8 @@ func rpcEchoServer(a *activity.Activity) {
 }
 
 // measureLinuxSyscall times no-op system calls on the Linux model.
-func measureLinuxSyscall(rounds int) sim.Time {
-	eng := sim.NewEngine()
+func measureLinuxSyscall(c *sim.Canceler, rounds int) sim.Time {
+	eng := newLinuxEngine(c)
 	defer eng.Shutdown()
 	m := linuxos.New(eng, sim.MHz(80))
 	var per sim.Time
@@ -119,8 +120,8 @@ func measureLinuxSyscall(rounds int) sim.Time {
 
 // measureLinuxYield2 times two yields between two processes (the paper's
 // analogue of a tile-local RPC: two context switches).
-func measureLinuxYield2(rounds int) sim.Time {
-	eng := sim.NewEngine()
+func measureLinuxYield2(c *sim.Canceler, rounds int) sim.Time {
+	eng := newLinuxEngine(c)
 	defer eng.Shutdown()
 	m := linuxos.New(eng, sim.MHz(80))
 	var per sim.Time
@@ -144,24 +145,32 @@ func measureLinuxYield2(rounds int) sim.Time {
 // Fig6 reproduces Figure 6: local/remote communication on M³v and the
 // corresponding Linux primitives. Values in microseconds on 80 MHz BOOM
 // cores; the paper's anchors are ~25us for both the Linux no-op syscall and
-// the M³v remote RPC, ~5k cycles (~62us) for the tile-local RPC.
-func Fig6() *Result {
+// the M³v remote RPC, ~5k cycles (~62us) for the tile-local RPC. Tiles is
+// ignored: the topology is the fixed FPGA platform.
+func Fig6(p Params, c *sim.Canceler) (*Result, error) {
 	const rounds = 100
-	r := &Result{ID: "fig6", Title: "Local/remote no-op RPC vs Linux primitives"}
 	clk := sim.MHz(80)
 	pts := runPoints(4, func(i int) sim.Time {
 		switch i {
 		case 0:
-			return measureM3vRPC(false, rounds)
+			return measureM3vRPC(p, c, false, rounds)
 		case 1:
-			return measureM3vRPC(true, rounds)
+			return measureM3vRPC(p, c, true, rounds)
 		case 2:
-			return measureLinuxSyscall(rounds)
+			return measureLinuxSyscall(c, rounds)
 		default:
-			return measureLinuxYield2(rounds)
+			return measureLinuxYield2(c, rounds)
 		}
 	})
+	if c.Cancelled() {
+		return nil, ErrCancelled
+	}
 	remote, local, syscall, yield2 := pts[0], pts[1], pts[2], pts[3]
+	if remote <= 0 || local <= 0 {
+		// An unfinished run leaves the client mid-loop and its total at zero.
+		return nil, errors.New("fig6: rpc measurement incomplete")
+	}
+	r := &Result{ID: "fig6", Title: "Local/remote no-op RPC vs Linux primitives"}
 	r.Add("Linux yield (2x)", yield2.Micros(), "us", 55)
 	r.Add("Linux syscall", syscall.Micros(), "us", 25)
 	r.Add("M3v local", local.Micros(), "us", 62)
@@ -169,5 +178,5 @@ func Fig6() *Result {
 	r.Add("M3v local (cycles)", float64(clk.CyclesIn(local)), "cycles", 5000)
 	r.Add("M3v remote (cycles)", float64(clk.CyclesIn(remote)), "cycles", 2000)
 	r.Note("shape: remote RPC ~ Linux syscall; local RPC ~ Linux 2x yield, several times remote")
-	return r
+	return r, nil
 }

@@ -23,8 +23,8 @@ const (
 // fsThroughput measures m3fs read and write throughput in MiB/s. shared
 // places the benchmark, the file system, and the pager on one BOOM core;
 // isolated gives each its own.
-func fsThroughput(shared bool) (readMiBs, writeMiBs float64) {
-	sys := core.New(core.FPGAConfig())
+func fsThroughput(p Params, c *sim.Canceler, shared bool) (readMiBs, writeMiBs float64) {
+	sys := p.newSystem(core.FPGAConfig(), c)
 	defer sys.Shutdown()
 	procs := sys.Cfg.ProcessingTiles()
 	benchTile := procs[1]
@@ -93,8 +93,8 @@ func fsThroughput(shared bool) (readMiBs, writeMiBs float64) {
 }
 
 // linuxFSThroughput measures the tmpfs reference.
-func linuxFSThroughput() (readMiBs, writeMiBs float64) {
-	eng := sim.NewEngine()
+func linuxFSThroughput(c *sim.Canceler) (readMiBs, writeMiBs float64) {
+	eng := newLinuxEngine(c)
 	defer eng.Shutdown()
 	m := linuxos.New(eng, sim.MHz(80))
 	var readT, writeT sim.Time
@@ -138,22 +138,25 @@ func linuxFSThroughput() (readMiBs, writeMiBs float64) {
 // without tile sharing) against Linux tmpfs. Paper values are approximate
 // bar heights (MiB/s at 80 MHz). The three configurations run as independent
 // sweep points.
-func Fig7() *Result {
-	r := &Result{ID: "fig7", Title: "File read/write throughput (MiB/s)"}
+func Fig7(p Params, c *sim.Canceler) (*Result, error) {
 	type rw struct{ r, w float64 }
 	pts := runPoints(3, func(i int) rw {
 		switch i {
 		case 0:
-			rr, ww := linuxFSThroughput()
+			rr, ww := linuxFSThroughput(c)
 			return rw{rr, ww}
 		case 1:
-			rr, ww := fsThroughput(true)
+			rr, ww := fsThroughput(p, c, true)
 			return rw{rr, ww}
 		default:
-			rr, ww := fsThroughput(false)
+			rr, ww := fsThroughput(p, c, false)
 			return rw{rr, ww}
 		}
 	})
+	if c.Cancelled() {
+		return nil, ErrCancelled
+	}
+	r := &Result{ID: "fig7", Title: "File read/write throughput (MiB/s)"}
 	lr, lw := pts[0].r, pts[0].w
 	sr, sw := pts[1].r, pts[1].w
 	ir, iw := pts[2].r, pts[2].w
@@ -164,5 +167,5 @@ func Fig7() *Result {
 	r.Add("M3v read (shared)", sr, "MiB/s", 190)
 	r.Add("M3v read (isolated)", ir, "MiB/s", 230)
 	r.Note("shape: M3v reads beat Linux (direct extent access); writes are much slower than reads everywhere; sharing costs some throughput")
-	return r
+	return r, nil
 }

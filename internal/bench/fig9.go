@@ -19,9 +19,6 @@ const (
 	fig9Runs   = 2
 )
 
-// Fig9Tiles is the tile-count series of the figure.
-var Fig9Tiles = []int{1, 2, 4, 8, 12}
-
 // playerResult records one traceplayer's timed window.
 type playerResult struct {
 	start, end sim.Time
@@ -30,31 +27,24 @@ type playerResult struct {
 
 // Fig9Point measures one data point of Figure 9: runs/s on n worker tiles.
 func Fig9Point(m3xMode bool, n int, mkTrace func() *traces.Trace) float64 {
-	return fig9Throughput(m3xMode, n, mkTrace)
-}
-
-// fig9Throughput runs the benchmark on n worker tiles and reports runs/s.
-func fig9Throughput(m3xMode bool, n int, mkTrace func() *traces.Trace) float64 {
-	v, err := fig9Run(m3xMode, n, mkTrace, ServeParams{}, nil)
+	v, err := fig9Run(m3xMode, n, mkTrace, Params{}, nil)
 	if err != nil {
 		panic(err)
 	}
 	return v
 }
 
-// fig9Run is the parameterized, cancellable core of the figure: one
-// (system, trace, tile-count) point. The canceler may stop the simulation
-// from another goroutine (ErrCancelled); an uncancelled run whose players
-// made no progress is an error instead of the CLI path's panic.
-func fig9Run(m3xMode bool, n int, mkTrace func() *traces.Trace, p ServeParams, c *sim.Canceler) (float64, error) {
+// fig9Run measures one (system, trace, tile-count) point of the figure.
+// The canceler may stop the simulation from another goroutine
+// (ErrCancelled); an uncancelled run whose players made no progress is an
+// error.
+func fig9Run(m3xMode bool, n int, mkTrace func() *traces.Trace, p Params, c *sim.Canceler) (float64, error) {
 	cfg := core.Gem5Config(n + 1) // +1 for the orchestrator
 	if m3xMode {
 		cfg = cfg.WithM3x()
 	}
-	p.apply(&cfg)
-	sys := core.New(cfg)
+	sys := p.newSystem(cfg, c)
 	defer sys.Shutdown()
-	c.Attach(sys.Eng)
 	procs := sys.Cfg.ProcessingTiles()
 	rootTile := procs[0]
 	workers := procs[1 : n+1]
@@ -159,17 +149,25 @@ var fig9Paper = map[string]float64{
 }
 
 // Fig9 reproduces Figure 9: scalability of context-switch-heavy workloads
-// under tile multiplexing, M³x vs M³v, 1-12 tiles. The (system, trace,
-// tile-count) points are independent simulations and fan out across the
-// sweep worker pool; rows keep the figure's order regardless of worker
-// count.
-func Fig9() *Result {
-	r := &Result{ID: "fig9", Title: "Scalability of tile multiplexing (runs/s)"}
+// under tile multiplexing, M³x vs M³v, over p.Fig9Series. With p.Tiles > 0
+// it measures only the M³v points at that tile count (clamped to 12): the
+// answer m3vd serves, where adding the M³x points would multiply the host
+// cost about 5x. The (system, trace, tile-count) points are independent simulations
+// and fan out across the sweep worker pool; rows keep the figure's order
+// regardless of worker count.
+func Fig9(p Params, c *sim.Canceler) (*Result, error) {
 	type point struct {
 		label string
 		mk    func() *traces.Trace
 		m3x   bool
 		n     int
+	}
+	series, m3xModes := p.Fig9Series, []bool{false, true}
+	if series == nil {
+		series = []int{1, 2, 4, 8, 12}
+	}
+	if p.Tiles > 0 {
+		series, m3xModes = []int{min(p.Tiles, 12)}, []bool{false}
 	}
 	var pts []point
 	for _, tr := range []struct {
@@ -179,22 +177,39 @@ func Fig9() *Result {
 		{"find", traces.Find},
 		{"SQLite", traces.SQLite},
 	} {
-		for _, n := range Fig9Tiles {
-			pts = append(pts, point{fmt.Sprintf("M3v %s %d", tr.name, n), tr.mk, false, n})
-		}
-		for _, n := range Fig9Tiles {
-			// The paper could not run M³x reliably at high tile counts; we
-			// can, and the line stays flat either way.
-			pts = append(pts, point{fmt.Sprintf("M3x %s %d", tr.name, n), tr.mk, true, n})
+		// The paper could not run M³x reliably at high tile counts; we can,
+		// and the line stays flat either way.
+		for _, m3x := range m3xModes {
+			sys := "M3v"
+			if m3x {
+				sys = "M3x"
+			}
+			for _, n := range series {
+				pts = append(pts, point{fmt.Sprintf("%s %s %d", sys, tr.name, n), tr.mk, m3x, n})
+			}
 		}
 	}
-	vals := runPoints(len(pts), func(i int) float64 {
-		return fig9Throughput(pts[i].m3x, pts[i].n, pts[i].mk)
+	type result struct {
+		v   float64
+		err error
+	}
+	vals := runPoints(len(pts), func(i int) result {
+		v, err := fig9Run(pts[i].m3x, pts[i].n, pts[i].mk, p, c)
+		return result{v, err}
 	})
-	for i, p := range pts {
-		r.Add(p.label, vals[i], "runs/s", fig9Paper[p.label])
+	if c.Cancelled() {
+		return nil, ErrCancelled
 	}
-	r.Note("shape: M3v scales almost linearly with tiles; M3x is capped by the single-threaded controller")
-	r.Note("shape: at one tile, M3v achieves about 2x the throughput of M3x")
-	return r
+	r := &Result{ID: "fig9", Title: "Scalability of tile multiplexing (runs/s)"}
+	for i, pt := range pts {
+		if vals[i].err != nil {
+			return nil, vals[i].err
+		}
+		r.Add(pt.label, vals[i].v, "runs/s", fig9Paper[pt.label])
+	}
+	if p.Tiles <= 0 {
+		r.Note("shape: M3v scales almost linearly with tiles; M3x is capped by the single-threaded controller")
+		r.Note("shape: at one tile, M3v achieves about 2x the throughput of M3x")
+	}
+	return r, nil
 }

@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"m3v/internal/sim"
 )
 
 // goldenFile is the committed metric snapshot of the figure drivers. The
@@ -16,11 +18,10 @@ import (
 const goldenFile = "testdata/golden.json"
 
 // goldenExperiments are the figure drivers pinned by the snapshot. Fig9 runs
-// on a truncated tile series to keep the test fast; the series is restored
-// after the run.
+// on a truncated tile series (goldenParams) to keep the test fast.
 var goldenExperiments = []struct {
 	id  string
-	run func() *Result
+	run func(Params, *sim.Canceler) (*Result, error)
 }{
 	{"fig6", Fig6},
 	{"fig7", Fig7},
@@ -29,15 +30,13 @@ var goldenExperiments = []struct {
 	{"fig10", Fig10},
 }
 
-// collectGolden runs the pinned drivers and flattens their tables.
-func collectGolden() map[string]map[string]float64 {
-	saved := Fig9Tiles
-	Fig9Tiles = []int{1, 2}
-	defer func() { Fig9Tiles = saved }()
+var goldenParams = Params{Fig9Series: []int{1, 2}}
 
+// collectGolden runs the pinned drivers and flattens their tables.
+func collectGolden(t *testing.T) map[string]map[string]float64 {
 	out := make(map[string]map[string]float64)
 	for _, e := range goldenExperiments {
-		r := e.run()
+		r := mustRun(t, e.run, goldenParams)
 		rows := make(map[string]float64, len(r.Rows))
 		for _, m := range r.Rows {
 			rows[m.Label] = m.Value
@@ -51,7 +50,7 @@ func collectGolden() map[string]map[string]float64 {
 // snapshot: the simulation is deterministic, so any drift is a real model
 // change and must be reviewed (and the snapshot regenerated) explicitly.
 func TestGoldenFigures(t *testing.T) {
-	got := collectGolden()
+	got := collectGolden(t)
 
 	if os.Getenv("M3V_UPDATE_GOLDEN") != "" {
 		data, err := json.MarshalIndent(got, "", "  ")

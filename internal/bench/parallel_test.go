@@ -142,14 +142,11 @@ func TestForEachPointParallelPanicWrapsAndCompletes(t *testing.T) {
 // keeps it affordable; it still covers both systems and both traces.
 func TestFig9ParallelSerialEquivalence(t *testing.T) {
 	defer SetParallelism(orig(t))
-	savedTiles := Fig9Tiles
-	Fig9Tiles = []int{1, 2}
-	defer func() { Fig9Tiles = savedTiles }()
-
+	p := Params{Fig9Series: []int{1, 2}}
 	SetParallelism(1)
-	serial := Fig9().String()
+	serial := mustRun(t, Fig9, p).String()
 	SetParallelism(8)
-	parallel := Fig9().String()
+	parallel := mustRun(t, Fig9, p).String()
 	if serial != parallel {
 		t.Fatalf("fig9 tables differ between -parallel 1 and 8:\nserial:\n%s\nparallel:\n%s", serial, parallel)
 	}
@@ -163,9 +160,9 @@ func TestFig10ParallelSerialEquivalence(t *testing.T) {
 	}
 	defer SetParallelism(orig(t))
 	SetParallelism(1)
-	serial := Fig10().String()
+	serial := mustRun(t, Fig10, Params{}).String()
 	SetParallelism(8)
-	parallel := Fig10().String()
+	parallel := mustRun(t, Fig10, Params{}).String()
 	if serial != parallel {
 		t.Fatalf("fig10 tables differ between -parallel 1 and 8:\nserial:\n%s\nparallel:\n%s", serial, parallel)
 	}
@@ -183,7 +180,7 @@ func TestParallelTraceHashDeterminism(t *testing.T) {
 		trace.SetAutoRegister(true, true)
 		defer trace.SetAutoRegister(false, false)
 		runPoints(4, func(i int) float64 {
-			return fig9Throughput(i >= 2, 1+i%2, traces.Find)
+			return Fig9Point(i >= 2, 1+i%2, traces.Find)
 		})
 		var hashes []uint64
 		for _, r := range trace.Registered() {

@@ -6,10 +6,22 @@ import (
 	"testing"
 
 	"m3v/internal/sim"
+	"m3v/internal/traces"
 )
 
+// mustRun runs one experiment driver without a canceler and fails the test
+// on error.
+func mustRun(t *testing.T, run func(Params, *sim.Canceler) (*Result, error), p Params) *Result {
+	t.Helper()
+	r, err := run(p, nil)
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	return r
+}
+
 // TestRegistryShape pins the registry's canonical order, ID uniqueness,
-// and which experiments are servable.
+// and that every entry has a driver.
 func TestRegistryShape(t *testing.T) {
 	wantOrder := []string{"table1", "sloc", "fig6", "fig7", "fig8", "fig9", "voice", "fig10", "ablation"}
 	reg := Experiments()
@@ -32,91 +44,91 @@ func TestRegistryShape(t *testing.T) {
 			t.Errorf("experiment %q has empty Title", e.ID)
 		}
 	}
-	for _, id := range []string{"fig6", "fig9"} {
-		e, ok := Lookup(id)
-		if !ok || e.Servable == nil {
-			t.Errorf("experiment %q must be servable", id)
-		}
-	}
-	if e, ok := Lookup("table1"); !ok || e.Servable != nil {
-		t.Errorf("table1 unexpectedly servable: ok=%v", ok)
-	}
 	if _, ok := Lookup("nope"); ok {
 		t.Error("Lookup(nope) succeeded")
 	}
 }
 
-// TestServableFig6Deterministic runs the servable fig6 twice with equal
-// params and requires identical rendered tables — the property that makes
-// the serving layer's result cache sound.
+// TestServableFig6Deterministic runs fig6 twice with equal params and
+// requires identical rendered tables — the property that makes the serving
+// layer's result cache sound.
 func TestServableFig6Deterministic(t *testing.T) {
 	e, _ := Lookup("fig6")
 	run := func() string {
-		r, err := e.Servable(ServeParams{}, sim.NewCanceler())
+		r, err := e.Run(Params{FaultSeed: 7, FaultRate: 0.01}, sim.NewCanceler())
 		if err != nil {
-			t.Fatalf("servable fig6: %v", err)
+			t.Fatalf("fig6: %v", err)
 		}
 		return r.String()
 	}
 	first := run()
 	if second := run(); first != second {
-		t.Errorf("servable fig6 not deterministic:\n%s\nvs\n%s", first, second)
+		t.Errorf("fig6 not deterministic:\n%s\nvs\n%s", first, second)
 	}
-	if !strings.Contains(first, "M3v remote") || !strings.Contains(first, "M3v local") {
-		t.Errorf("servable fig6 rows missing:\n%s", first)
+	for _, row := range []string{"Linux syscall", "M3v remote", "M3v local"} {
+		if !strings.Contains(first, row) {
+			t.Errorf("fig6 row %q missing:\n%s", row, first)
+		}
 	}
 }
 
-// TestServableFig9TileClamp checks the tile knob: out-of-range counts
-// clamp into the figure's 1..12 series and the row labels carry the
-// resolved count.
+// TestServableFig9TileClamp checks the tile knob: Tiles > 0 measures only
+// the M3v series at that one count, equal to the figure's own points.
 func TestServableFig9TileClamp(t *testing.T) {
 	e, _ := Lookup("fig9")
-	r, err := e.Servable(ServeParams{Tiles: 0}, sim.NewCanceler())
+	r, err := e.Run(Params{Tiles: 1}, sim.NewCanceler())
 	if err != nil {
-		t.Fatalf("servable fig9: %v", err)
+		t.Fatalf("fig9 tiles 1: %v", err)
 	}
-	if len(r.Rows) != 2 {
-		t.Fatalf("servable fig9 rows = %d, want 2", len(r.Rows))
+	want := []struct {
+		label string
+		v     float64
+	}{
+		{"M3v find 1", Fig9Point(false, 1, traces.Find)},
+		{"M3v SQLite 1", Fig9Point(false, 1, traces.SQLite)},
 	}
-	for _, row := range r.Rows {
-		if !strings.HasSuffix(row.Label, " 1") {
-			t.Errorf("row %q should carry the clamped tile count 1", row.Label)
-		}
-		if row.Value <= 0 {
-			t.Errorf("row %q value = %g, want > 0", row.Label, row.Value)
+	if len(r.Rows) != len(want) || len(r.Notes) != 0 {
+		t.Fatalf("fig9 tiles 1 = %d rows, %d notes; want 2 rows, no notes:\n%s", len(r.Rows), len(r.Notes), r)
+	}
+	for i, w := range want {
+		if r.Rows[i].Label != w.label || r.Rows[i].Value != w.v {
+			t.Errorf("row %d = %q %v, want %q %v", i, r.Rows[i].Label, r.Rows[i].Value, w.label, w.v)
 		}
 	}
 }
 
-// TestServableCancelledBeforeStart: a canceler cancelled before the runner
-// is invoked must abort the run with ErrCancelled — engines attached after
-// the cancellation execute zero events.
+// TestServableCancelledBeforeStart: a canceler cancelled before the run
+// starts must abort every experiment with ErrCancelled — engines attached
+// after the cancellation execute zero events.
 func TestServableCancelledBeforeStart(t *testing.T) {
-	for _, id := range []string{"fig6", "fig9"} {
-		e, _ := Lookup(id)
+	for _, e := range Experiments() {
 		c := sim.NewCanceler()
 		c.Cancel()
-		if _, err := e.Servable(ServeParams{Tiles: 1}, c); !errors.Is(err, ErrCancelled) {
-			t.Errorf("%s with pre-cancelled canceler: err = %v, want ErrCancelled", id, err)
+		if _, err := e.Run(Params{Tiles: 1}, c); !errors.Is(err, ErrCancelled) {
+			t.Errorf("%s with pre-cancelled canceler: err = %v, want ErrCancelled", e.ID, err)
 		}
 	}
 }
 
-// TestServableCancelConcurrent cancels a servable run from another
-// goroutine while it executes — the -race gate for the serving layer's
-// deadline/disconnect path. The run may legitimately win the race and
-// complete; anything other than success or ErrCancelled is a failure.
+// TestServableCancelConcurrent cancels runs from another goroutine while
+// they execute — the -race gate for the serving layer's deadline/disconnect
+// path, on the fig9 point and on fig10's mixed M3v/Linux sweep. A run may
+// legitimately win the race and complete; anything other than success or
+// ErrCancelled is a failure.
 func TestServableCancelConcurrent(t *testing.T) {
-	e, _ := Lookup("fig9")
-	c := sim.NewCanceler()
-	done := make(chan error, 1)
-	go func() {
-		_, err := e.Servable(ServeParams{Tiles: 1}, c)
-		done <- err
-	}()
-	c.Cancel()
-	if err := <-done; err != nil && !errors.Is(err, ErrCancelled) {
-		t.Errorf("concurrent cancel: err = %v, want nil or ErrCancelled", err)
+	for _, id := range []string{"fig9", "fig10"} {
+		t.Run(id, func(t *testing.T) {
+			e, _ := Lookup(id)
+			c := sim.NewCanceler()
+			done := make(chan error, 1)
+			go func() {
+				_, err := e.Run(Params{Tiles: 1}, c)
+				done <- err
+			}()
+			c.Cancel()
+			if err := <-done; err != nil && !errors.Is(err, ErrCancelled) {
+				t.Errorf("concurrent cancel: err = %v, want nil or ErrCancelled", err)
+			}
+		})
 	}
 }

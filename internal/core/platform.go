@@ -44,13 +44,11 @@ type Config struct {
 	BaselineM3x bool
 	// Fault selects deterministic fault injection (see internal/fault).
 	// The zero value — or any config with all rates zero — builds the
-	// perfect platform; when it is zero, the process-wide default set via
-	// SetDefaultFault applies (used by the benchmark harness's CLI flags,
-	// which cannot reach into per-experiment configs).
+	// perfect platform. It is the only way to arm faults: the experiment
+	// harness sets it through bench.Params.Apply.
 	Fault fault.Config
 	// Sample arms sim-time telemetry sampling (see sim.StartSampling). The
-	// zero value keeps sampling off and defers to the process-wide default
-	// set via SetDefaultSampling, mirroring the Fault pattern above.
+	// zero value keeps sampling off; like Fault, it is the only switch.
 	Sample SampleConfig
 }
 
@@ -64,22 +62,6 @@ type SampleConfig struct {
 
 // Enabled reports whether this config arms the sampler.
 func (sc SampleConfig) Enabled() bool { return sc.Interval > 0 }
-
-// defaultSample is the process-wide sampling config applied to systems whose
-// own Config.Sample is disabled. Set once at CLI startup, before any system
-// is built.
-var defaultSample SampleConfig
-
-// SetDefaultSampling installs the process-wide default sampling config.
-func SetDefaultSampling(sc SampleConfig) { defaultSample = sc }
-
-// defaultFault is the process-wide fault config applied to systems whose
-// own Config.Fault is disabled. Set once at CLI startup, before any system
-// is built.
-var defaultFault fault.Config
-
-// SetDefaultFault installs the process-wide default fault config.
-func SetDefaultFault(fc fault.Config) { defaultFault = fc }
 
 // WithM3x returns a copy of the config that builds the M³x baseline.
 func (c Config) WithM3x() Config {

@@ -148,11 +148,7 @@ func New(cfg Config) *System {
 	// so fault-free systems carry no injector, no fault.* counters, and no
 	// behavioral difference. Muxes are visited via the deterministic
 	// ProcessingTiles order, not the map.
-	fc := cfg.Fault
-	if !fc.Enabled() {
-		fc = defaultFault
-	}
-	if fc.Enabled() {
+	if fc := cfg.Fault; fc.Enabled() {
 		inj := fault.New(eng, fc)
 		s.Fault = inj
 		net.SetInjector(inj)
@@ -168,13 +164,8 @@ func New(cfg Config) *System {
 
 	// Telemetry sampling: armed last so the components' probes are all
 	// registered, disabled by default (no recurring event, no gauges beyond
-	// the instruments above). A disabled config defers to the process-wide
-	// default, mirroring the fault-injection pattern.
-	sc := cfg.Sample
-	if !sc.Enabled() {
-		sc = defaultSample
-	}
-	if sc.Enabled() {
+	// the instruments above).
+	if sc := cfg.Sample; sc.Enabled() {
 		eng.StartSampling(sc.Interval, sc.Cap)
 	}
 

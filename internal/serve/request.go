@@ -18,13 +18,14 @@ import (
 	"m3v/internal/sim"
 )
 
-// Request is the canonical simulation request (schema m3vd/v2). The JSON
+// Request is the canonical simulation request (schema m3vd/v3). The JSON
 // body of POST /run decodes into it; Canonicalize validates it and fills
 // defaults so equivalent requests collapse onto one digest.
 type Request struct {
-	// Experiment is a servable registry ID (see bench.Experiments).
+	// Experiment is a registry ID (see bench.Experiments).
 	Experiment string `json:"experiment"`
-	// Tiles is the worker tile count for sweep experiments; 0 means 1.
+	// Tiles is the worker tile count of the fig9 point (clamped to 12);
+	// 0 means 1. Experiments with a fixed topology ignore it.
 	Tiles int `json:"tiles,omitempty"`
 	// FaultSeed / FaultRate arm deterministic fault injection when
 	// FaultRate > 0 (rate in [0,1]; seed defaults to 1 when armed).
@@ -43,14 +44,10 @@ const maxTiles = 64
 // sample interval, zeroed seed when faults are off), and returns the
 // resolved runner parameters. Two requests that canonicalize equal are the
 // same simulation.
-func Canonicalize(r Request, lookup func(string) (bench.Experiment, bool)) (Request, bench.ServeParams, error) {
-	var p bench.ServeParams
-	exp, ok := lookup(r.Experiment)
-	if !ok {
+func Canonicalize(r Request, lookup func(string) (bench.Experiment, bool)) (Request, bench.Params, error) {
+	var p bench.Params
+	if _, ok := lookup(r.Experiment); !ok {
 		return r, p, fmt.Errorf("unknown experiment %q", r.Experiment)
-	}
-	if exp.Servable == nil {
-		return r, p, fmt.Errorf("experiment %q is not servable (CLI only)", r.Experiment)
 	}
 	if r.Tiles < 0 || r.Tiles > maxTiles {
 		return r, p, fmt.Errorf("tiles %d out of range [0,%d]", r.Tiles, maxTiles)
@@ -78,7 +75,7 @@ func Canonicalize(r Request, lookup func(string) (bench.Experiment, bool)) (Requ
 		}
 		r.SampleInterval = every.String()
 	}
-	p = bench.ServeParams{
+	p = bench.Params{
 		Tiles:          r.Tiles,
 		FaultSeed:      r.FaultSeed,
 		FaultRate:      r.FaultRate,

@@ -20,20 +20,20 @@ import (
 )
 
 // okResult builds a deterministic fake experiment result from the params.
-func okResult(id string, p bench.ServeParams) *bench.Result {
+func okResult(id string, p bench.Params) *bench.Result {
 	r := &bench.Result{ID: id, Title: "Fake experiment"}
 	r.Add("tiles", float64(p.Tiles), "n", 0)
 	return r
 }
 
-// fakeLookup serves two servable fakes sharing one runner plus a CLI-only
-// entry, standing in for the bench registry.
-func fakeLookup(run func(string, bench.ServeParams, *sim.Canceler) (*bench.Result, error)) func(string) (bench.Experiment, bool) {
+// fakeLookup serves fakes sharing one runner, standing in for the bench
+// registry.
+func fakeLookup(run func(string, bench.Params, *sim.Canceler) (*bench.Result, error)) func(string) (bench.Experiment, bool) {
 	mk := func(id string) bench.Experiment {
 		return bench.Experiment{
 			ID:    id,
 			Title: "Fake " + id,
-			Servable: func(p bench.ServeParams, c *sim.Canceler) (*bench.Result, error) {
+			Run: func(p bench.Params, c *sim.Canceler) (*bench.Result, error) {
 				return run(id, p, c)
 			},
 		}
@@ -42,8 +42,6 @@ func fakeLookup(run func(string, bench.ServeParams, *sim.Canceler) (*bench.Resul
 		switch id {
 		case "fake", "other", "procpanic":
 			return mk(id), true
-		case "clionly":
-			return bench.Experiment{ID: id, Title: "CLI only"}, true
 		}
 		return bench.Experiment{}, false
 	}
@@ -136,7 +134,7 @@ func waitMetric(t *testing.T, base, name string, want int64) {
 // encoding is stable, equivalent spellings share a digest, distinct requests
 // do not, and the validation paths reject.
 func TestCanonicalizeDigest(t *testing.T) {
-	lookup := fakeLookup(func(id string, p bench.ServeParams, c *sim.Canceler) (*bench.Result, error) {
+	lookup := fakeLookup(func(id string, p bench.Params, c *sim.Canceler) (*bench.Result, error) {
 		return okResult(id, p), nil
 	})
 	canon, params, err := Canonicalize(Request{Experiment: "fake"}, lookup)
@@ -149,9 +147,9 @@ func TestCanonicalizeDigest(t *testing.T) {
 	if params.Tiles != 1 {
 		t.Errorf("params = %+v", params)
 	}
-	// sha256("m3vd/v2|fake|1|0|0x0p+00|"): a change here orphans every
+	// sha256("m3vd/v3|fake|1|0|0x0p+00|"): a change here orphans every
 	// cached digest, so it must come with a ResponseSchema bump.
-	if got, want := canon.Digest(), "c956dea7c6a55db2be58eb8b8c88cb349af54b9cf040c9e31d1694ff74bd66d7"; got != want {
+	if got, want := canon.Digest(), "9561de8a34bac3e67d6b84e787ddd7314f062bc839ba569b6d0f6f06e6a1ce8c"; got != want {
 		t.Errorf("canonical digest = %s, want %s", got, want)
 	}
 
@@ -189,7 +187,6 @@ func TestCanonicalizeDigest(t *testing.T) {
 
 	for _, bad := range []Request{
 		{Experiment: "nope"},
-		{Experiment: "clionly"},
 		{Experiment: "fake", Tiles: -1},
 		{Experiment: "fake", Tiles: maxTiles + 1},
 		{Experiment: "fake", FaultRate: 1.5},
@@ -208,7 +205,7 @@ func TestCacheHitByteIdentical(t *testing.T) {
 	var runs atomic.Int64
 	_, ts := newTestServer(t, Config{
 		Workers: 2,
-		Lookup: fakeLookup(func(id string, p bench.ServeParams, c *sim.Canceler) (*bench.Result, error) {
+		Lookup: fakeLookup(func(id string, p bench.Params, c *sim.Canceler) (*bench.Result, error) {
 			runs.Add(1)
 			return okResult(id, p), nil
 		}),
@@ -254,7 +251,7 @@ func TestCoalescing(t *testing.T) {
 	var runs atomic.Int64
 	_, ts := newTestServer(t, Config{
 		Workers: 2,
-		Lookup: fakeLookup(func(id string, p bench.ServeParams, c *sim.Canceler) (*bench.Result, error) {
+		Lookup: fakeLookup(func(id string, p bench.Params, c *sim.Canceler) (*bench.Result, error) {
 			runs.Add(1)
 			<-release
 			return okResult(id, p), nil
@@ -292,7 +289,7 @@ func TestQueueFullBackpressure(t *testing.T) {
 		Workers:      1,
 		QueueDepth:   1,
 		RetrySeconds: 7,
-		Lookup: fakeLookup(func(id string, p bench.ServeParams, c *sim.Canceler) (*bench.Result, error) {
+		Lookup: fakeLookup(func(id string, p bench.Params, c *sim.Canceler) (*bench.Result, error) {
 			started <- struct{}{}
 			<-release
 			return okResult(id, p), nil
@@ -331,7 +328,7 @@ func TestDisconnectCancelsJob(t *testing.T) {
 	release := make(chan struct{})
 	_, ts := newTestServer(t, Config{
 		Workers: 1,
-		Lookup: fakeLookup(func(id string, p bench.ServeParams, c *sim.Canceler) (*bench.Result, error) {
+		Lookup: fakeLookup(func(id string, p bench.Params, c *sim.Canceler) (*bench.Result, error) {
 			select {
 			case <-c.Done():
 				return nil, bench.ErrCancelled
@@ -375,7 +372,7 @@ func TestJobDeadline(t *testing.T) {
 	_, ts := newTestServer(t, Config{
 		Workers:    1,
 		JobTimeout: 30 * time.Millisecond,
-		Lookup: fakeLookup(func(id string, p bench.ServeParams, c *sim.Canceler) (*bench.Result, error) {
+		Lookup: fakeLookup(func(id string, p bench.Params, c *sim.Canceler) (*bench.Result, error) {
 			<-c.Done()
 			return nil, bench.ErrCancelled
 		}),
@@ -397,7 +394,7 @@ func TestJobDeadline(t *testing.T) {
 func TestPanicIsolation(t *testing.T) {
 	_, ts := newTestServer(t, Config{
 		Workers: 1,
-		Lookup: fakeLookup(func(id string, p bench.ServeParams, c *sim.Canceler) (*bench.Result, error) {
+		Lookup: fakeLookup(func(id string, p bench.Params, c *sim.Canceler) (*bench.Result, error) {
 			switch id {
 			case "fake":
 				panic("kaboom")
@@ -435,7 +432,7 @@ func TestPanicIsolation(t *testing.T) {
 func TestBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Config{
 		Workers: 1,
-		Lookup: fakeLookup(func(id string, p bench.ServeParams, c *sim.Canceler) (*bench.Result, error) {
+		Lookup: fakeLookup(func(id string, p bench.Params, c *sim.Canceler) (*bench.Result, error) {
 			return okResult(id, p), nil
 		}),
 	})
@@ -473,7 +470,7 @@ func TestBadRequests(t *testing.T) {
 func TestDrainingRejects(t *testing.T) {
 	s, ts := newTestServer(t, Config{
 		Workers: 1,
-		Lookup: fakeLookup(func(id string, p bench.ServeParams, c *sim.Canceler) (*bench.Result, error) {
+		Lookup: fakeLookup(func(id string, p bench.Params, c *sim.Canceler) (*bench.Result, error) {
 			return okResult(id, p), nil
 		}),
 	})
@@ -504,7 +501,7 @@ func TestServeDrain(t *testing.T) {
 	s := New(Config{
 		Workers: 1,
 		Now:     time.Now,
-		Lookup: fakeLookup(func(id string, p bench.ServeParams, c *sim.Canceler) (*bench.Result, error) {
+		Lookup: fakeLookup(func(id string, p bench.Params, c *sim.Canceler) (*bench.Result, error) {
 			started <- struct{}{}
 			<-release
 			return okResult(id, p), nil
@@ -549,7 +546,7 @@ func TestServeDrainTimeoutCancelsStuckJob(t *testing.T) {
 		Workers:      1,
 		DrainTimeout: 50 * time.Millisecond,
 		Now:          time.Now,
-		Lookup: fakeLookup(func(id string, p bench.ServeParams, c *sim.Canceler) (*bench.Result, error) {
+		Lookup: fakeLookup(func(id string, p bench.Params, c *sim.Canceler) (*bench.Result, error) {
 			started <- struct{}{}
 			<-c.Done() // only a cancellation ends this job
 			return nil, bench.ErrCancelled
@@ -581,7 +578,8 @@ func TestServeDrainTimeoutCancelsStuckJob(t *testing.T) {
 	}
 }
 
-// TestExperimentsEndpoint lists the real registry's servable entries.
+// TestExperimentsEndpoint lists the real registry: every experiment is
+// servable.
 func TestExperimentsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	st, body := get(t, ts.URL, "/experiments")
@@ -596,8 +594,12 @@ func TestExperimentsEndpoint(t *testing.T) {
 	for _, e := range entries {
 		ids = append(ids, e.ID)
 	}
-	if strings.Join(ids, ",") != "fig6,fig9" {
-		t.Errorf("servable experiments = %v, want [fig6 fig9]", ids)
+	var want []string
+	for _, e := range bench.Experiments() {
+		want = append(want, e.ID)
+	}
+	if strings.Join(ids, ",") != strings.Join(want, ",") || len(ids) != 9 {
+		t.Errorf("servable experiments = %v, want %v", ids, want)
 	}
 }
 
@@ -617,12 +619,39 @@ func TestEndToEndFig6(t *testing.T) {
 	if err := json.Unmarshal([]byte(body1), &resp); err != nil {
 		t.Fatalf("fig6 response not JSON: %v", err)
 	}
-	if resp.Result.ID != "fig6" || len(resp.Result.Rows) != 4 {
+	if resp.Schema != "m3vd/v3" || resp.Result.ID != "fig6" ||
+		len(resp.Result.Rows) != 6 || len(resp.Result.Notes) != 1 {
 		t.Errorf("fig6 result = %+v", resp.Result)
 	}
 	for _, row := range resp.Result.Rows {
 		if row.Value <= 0 {
 			t.Errorf("fig6 row %q = %g, want > 0", row.Label, row.Value)
+		}
+	}
+}
+
+// TestEndToEndTable1 serves a table (no simulation, no sweep) through the
+// real registry: the answer carries exactly the m3vbench rows.
+func TestEndToEndTable1(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	st, _, body := post(t, ts.URL, Request{Experiment: "table1"})
+	if st != 200 {
+		t.Fatalf("table1 status = %d\n%s", st, body)
+	}
+	var resp Response
+	if err := json.Unmarshal([]byte(body), &resp); err != nil {
+		t.Fatalf("table1 response not JSON: %v", err)
+	}
+	want, err := bench.Table1(bench.Params{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Result.ID != "table1" || len(resp.Result.Rows) != len(want.Rows) {
+		t.Fatalf("table1 result = %+v, want %d rows", resp.Result, len(want.Rows))
+	}
+	for i, row := range resp.Result.Rows {
+		if row.Label != want.Rows[i].Label || row.Value != want.Rows[i].Value {
+			t.Errorf("row %d = %q %v, want %q %v", i, row.Label, row.Value, want.Rows[i].Label, want.Rows[i].Value)
 		}
 	}
 }

@@ -56,7 +56,7 @@ type Config struct {
 type call struct {
 	digest    string
 	req       Request
-	params    bench.ServeParams
+	params    bench.Params
 	exp       bench.Experiment
 	canceler  *sim.Canceler
 	done      chan struct{} // closed by the worker after status/body are set
@@ -341,7 +341,7 @@ func (s *Server) runJob(c *call) {
 	if s.cfg.JobTimeout > 0 {
 		deadline = time.AfterFunc(s.cfg.JobTimeout, c.canceler.Cancel)
 	}
-	res, err := s.runServable(c)
+	res, err := s.runExperiment(c)
 	if deadline != nil {
 		deadline.Stop()
 	}
@@ -384,9 +384,9 @@ func (s *Server) runJob(c *call) {
 	close(c.done)
 }
 
-// runServable invokes the experiment, converting a driver panic into an
+// runExperiment invokes the experiment, converting a driver panic into an
 // error so one bad run cannot take the pool down.
-func (s *Server) runServable(c *call) (res *bench.Result, err error) {
+func (s *Server) runExperiment(c *call) (res *bench.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("experiment %s panicked: %v", c.req.Experiment, r)
@@ -395,7 +395,7 @@ func (s *Server) runServable(c *call) (res *bench.Result, err error) {
 	if c.canceler.Cancelled() {
 		return nil, bench.ErrCancelled
 	}
-	return c.exp.Servable(c.params, c.canceler)
+	return c.exp.Run(c.params, c.canceler)
 }
 
 func (s *Server) countBadRequest() {
@@ -436,7 +436,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 }
 
-// handleExperiments lists the servable registry entries.
+// handleExperiments lists the registry entries.
 func (s *Server) handleExperiments(w http.ResponseWriter, _ *http.Request) {
 	type entry struct {
 		ID    string `json:"id"`
@@ -444,9 +444,7 @@ func (s *Server) handleExperiments(w http.ResponseWriter, _ *http.Request) {
 	}
 	var out []entry
 	for _, e := range bench.Experiments() {
-		if e.Servable != nil {
-			out = append(out, entry{ID: e.ID, Title: e.Title})
-		}
+		out = append(out, entry{ID: e.ID, Title: e.Title})
 	}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)

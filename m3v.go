@@ -127,5 +127,6 @@ type Sel = cap.Sel
 // the rights it needs to create children on other tiles.
 func TileSels(a *Activity) map[TileID]Sel { return core.TileSels(a) }
 
-// Experiments runs every reproduced table and figure in paper order.
-func Experiments() []*Result { return bench.All() }
+// Experiments runs every reproduced table and figure in paper order. It
+// stops at the first failing experiment.
+func Experiments() ([]*Result, error) { return bench.All() }
