@@ -64,11 +64,16 @@ go test -run '^$' -bench 'Fig9FindOneTile' -benchtime 1x .
 
 echo "== perf smoke =="
 # Scheduler performance gate: every sim microbenchmark runs once and the
-# steady-state alloc guard must hold. Dispatch order is gated elsewhere: by
+# steady-state alloc guards must hold. Dispatch order is gated elsewhere: by
 # FuzzQueueEquivalence (wheel vs. a test-only reference queue) and by the
 # golden trace/span hashes of cmd/m3vsim's TestRunGoldenHashes.
 go test -run '^$' -bench . -benchtime 1x ./internal/sim/
 go test -run 'TestSchedulePathAllocFree' -count=1 -v ./internal/sim/ | grep -q -- '--- PASS: TestSchedulePathAllocFree'
+# The DTU message path and the M3x save/restore buffers have their own
+# steady-state guards: a SEND/FETCH/REPLY/FETCH/ACK round trip allocates
+# only the two payload copies, and a repeated remote save/restore nothing.
+go test -run 'TestRoundTripAllocs' -count=1 -v ./internal/dtu/ | grep -q -- '--- PASS: TestRoundTripAllocs'
+go test -run 'TestSaveRestoreAllocFree' -count=1 -v ./internal/m3x/ | grep -q -- '--- PASS: TestSaveRestoreAllocFree'
 
 echo "== m3vtrace smoke =="
 # End-to-end flow tracing gate: a small Figure-6-style run dumps its span

@@ -16,12 +16,12 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"runtime/pprof"
 	"strconv"
 	"strings"
 	"time"
 
 	"m3v/internal/bench"
+	"m3v/internal/profile"
 	"m3v/internal/sim"
 	"m3v/internal/trace"
 )
@@ -120,8 +120,7 @@ type options struct {
 	compareSerial bool
 	params        bench.Params
 	seriesFile    string
-	cpuProfile    string
-	memProfile    string
+	prof          profile.Flags
 }
 
 // parseOptions parses the command line. Split from main for CLI tests.
@@ -140,8 +139,7 @@ func parseOptions(args []string) (*options, error) {
 	checkParams := o.params.BindFlags(fs)
 	fs.StringVar(&o.seriesFile, "series", "", "write the sampled telemetry series of all runs as m3vseries JSON (report with m3vstat)")
 	fs.StringVar(&o.baseline, "baseline", "", "compare wall clock against a previous BENCH_m3vbench.json (older schemas accepted with a warning)")
-	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
-	fs.StringVar(&o.memProfile, "memprofile", "", "write a heap profile to this file on clean exit")
+	o.prof.Bind(fs)
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
@@ -200,19 +198,10 @@ func main() {
 		return
 	}
 	bench.SetParallelism(o.parallel)
-	if o.cpuProfile != "" {
-		f, err := os.Create(o.cpuProfile)
-		if err != nil {
-			fail("cpuprofile: %v", err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fail("cpuprofile: %v", err)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
+	if err := o.prof.Start(); err != nil {
+		fail("%v", err)
 	}
+	defer o.prof.Stop()
 	// Experiments build their Systems internally; collect every recorder
 	// created while they run via the global auto-register hook. Under
 	// -parallel the registration order follows run completion, so merged
@@ -377,18 +366,8 @@ func main() {
 		fmt.Printf("bench-json: %d experiments, %.0fms total -> %s\n",
 			len(report.Experiments), report.TotalWallMs, o.benchJSON)
 	}
-	if o.memProfile != "" {
-		f, err := os.Create(o.memProfile)
-		if err != nil {
-			fail("memprofile: %v", err)
-		}
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fail("memprofile: %v", err)
-		}
-		if err := f.Close(); err != nil {
-			fail("memprofile: %v", err)
-		}
+	if err := o.prof.WriteHeap(); err != nil {
+		fail("%v", err)
 	}
 }
 

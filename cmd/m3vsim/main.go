@@ -12,12 +12,11 @@ import (
 	"io"
 	"log"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 
 	"m3v"
 	"m3v/internal/bench"
+	"m3v/internal/profile"
 	"m3v/internal/trace"
 )
 
@@ -49,8 +48,8 @@ func run(args []string, out io.Writer) error {
 	checkParams := params.BindFlags(fs)
 	traceHash := fs.Bool("trace-hash", false, "enable tracing and print the run's event and span hashes")
 	seriesFile := fs.String("series", "", "write sampled telemetry series to this file (JSON; a .csv suffix selects CSV long format)")
-	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := fs.String("memprofile", "", "write a heap profile to this file on clean exit")
+	var prof profile.Flags
+	prof.Bind(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -66,20 +65,10 @@ func run(args []string, out io.Writer) error {
 	if *seriesFile != "" && params.SampleInterval == 0 {
 		return fmt.Errorf("-series requires -sample-interval")
 	}
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			return fmt.Errorf("cpuprofile: %w", err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return fmt.Errorf("cpuprofile: %w", err)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
+	if err := prof.Start(); err != nil {
+		return err
 	}
+	defer prof.Stop()
 
 	cfg := m3v.FPGA()
 	if *gem5 {
@@ -203,30 +192,7 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintln(out)
 		fmt.Fprint(out, rec.Summary())
 	}
-	if *memProfile != "" {
-		if err := writeHeapProfile(*memProfile); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// writeHeapProfile dumps the heap profile after a GC, so the file reflects
-// live objects rather than garbage awaiting collection.
-func writeHeapProfile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("memprofile: %w", err)
-	}
-	runtime.GC()
-	if err := pprof.WriteHeapProfile(f); err != nil {
-		f.Close()
-		return fmt.Errorf("memprofile: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("memprofile: %w", err)
-	}
-	return nil
+	return prof.WriteHeap()
 }
 
 func server(a *m3v.Activity) {

@@ -15,8 +15,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime/pprof"
 
+	"m3v/internal/profile"
 	"m3v/internal/trace"
 )
 
@@ -35,7 +35,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	check := fs.Bool("check", false, "verify span-stream well-formedness; exit non-zero on problems")
 	perfetto := fs.String("perfetto", "", "also write a Chrome trace-event JSON file with flow arrows")
-	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file (large flow files)")
+	var prof profile.Flags
+	fs.StringVar(&prof.CPU, "cpuprofile", "", "write a CPU profile to this file (large flow files)")
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: m3vtrace [-check] [-perfetto out.json] flows.json\n")
 		fs.PrintDefaults()
@@ -47,20 +48,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
-	if *cpuProfile != "" {
-		pf, err := os.Create(*cpuProfile)
-		if err != nil {
-			return fail("cpuprofile: %v", err)
-		}
-		if err := pprof.StartCPUProfile(pf); err != nil {
-			pf.Close()
-			return fail("cpuprofile: %v", err)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			pf.Close()
-		}()
+	if err := prof.Start(); err != nil {
+		return fail("%v", err)
 	}
+	defer prof.Stop()
 
 	f, err := os.Open(fs.Arg(0))
 	if err != nil {

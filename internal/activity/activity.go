@@ -82,7 +82,7 @@ type Activity struct {
 	// M³v it stays nil: the vDTU always delivers.
 	SlowSend func(a *Activity, args dtu.SendArgs) error
 	// SlowReply handles dtu.ErrNoRecipient on the reply leg (M³x only).
-	SlowReply func(a *Activity, orig *dtu.Message, data []byte) error
+	SlowReply func(a *Activity, orig dtu.Message, data []byte) error
 
 	// Env carries model-level parameters from the spawner (workload
 	// configuration, capability selectors handed down, result channels).
@@ -178,21 +178,22 @@ func (a *Activity) SendBounded(ep dtu.EpID, data []byte, vaddr uint64, replyEp d
 }
 
 // TryRecv fetches an unread message from a receive gate without blocking.
-func (a *Activity) TryRecv(rg dtu.EpID) (int, *dtu.Message, bool) {
+// The message is returned by value, like dtu.DTU.Fetch.
+func (a *Activity) TryRecv(rg dtu.EpID) (int, dtu.Message, bool) {
 	if !a.D.HasUnread(rg) {
-		return 0, nil, false
+		return 0, dtu.Message{}, false
 	}
 	a.X.BeginOp()
 	slot, msg, err := a.D.Fetch(a.Proc(), rg)
 	a.X.EndOp()
 	if err != nil {
-		return 0, nil, false
+		return 0, dtu.Message{}, false
 	}
 	return slot, msg, true
 }
 
 // Recv blocks until a message arrives on the receive gate and fetches it.
-func (a *Activity) Recv(rg dtu.EpID) (int, *dtu.Message) {
+func (a *Activity) Recv(rg dtu.EpID) (int, dtu.Message) {
 	for {
 		if slot, msg, ok := a.TryRecv(rg); ok {
 			return slot, msg
@@ -204,7 +205,7 @@ func (a *Activity) Recv(rg dtu.EpID) (int, *dtu.Message) {
 // ReplyMsg answers a fetched message. orig must be the fetched message (it
 // carries the routing information the M³x slow path needs when the
 // requester was switched out meanwhile).
-func (a *Activity) ReplyMsg(rg dtu.EpID, slot int, orig *dtu.Message, data []byte, vaddr uint64) error {
+func (a *Activity) ReplyMsg(rg dtu.EpID, slot int, orig dtu.Message, data []byte, vaddr uint64) error {
 	for {
 		a.X.BeginOp()
 		err := a.D.Reply(a.Proc(), rg, slot, data, vaddr)
@@ -214,7 +215,7 @@ func (a *Activity) ReplyMsg(rg dtu.EpID, slot int, orig *dtu.Message, data []byt
 			if ferr := a.X.FixTranslation(vaddr, dtu.PermR); ferr != nil {
 				return ferr
 			}
-		case errors.Is(err, dtu.ErrNoRecipient) && a.SlowReply != nil && orig != nil:
+		case errors.Is(err, dtu.ErrNoRecipient) && a.SlowReply != nil:
 			return a.SlowReply(a, orig, data)
 		default:
 			return err
@@ -295,7 +296,7 @@ func (a *Activity) WriteMem(ep dtu.EpID, off uint64, data []byte, vaddr uint64) 
 // Serve runs a service loop on a receive gate: each request is passed to
 // handler and its return value sent as the reply. handler returning nil
 // data with done=true ends the loop.
-func (a *Activity) Serve(rg dtu.EpID, handler func(msg *dtu.Message) (resp []byte, done bool)) {
+func (a *Activity) Serve(rg dtu.EpID, handler func(msg dtu.Message) (resp []byte, done bool)) {
 	for {
 		slot, msg := a.Recv(rg)
 		resp, done := handler(msg)

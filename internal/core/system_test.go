@@ -269,7 +269,7 @@ func echoService(a *activity.Activity) {
 		panic(err)
 	}
 	share.ready = true
-	a.Serve(rgEp, func(msg *dtu.Message) ([]byte, bool) {
+	a.Serve(rgEp, func(msg dtu.Message) ([]byte, bool) {
 		return append(append([]byte{}, msg.Data...), []byte("/echoed")...), true
 	})
 }

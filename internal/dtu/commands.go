@@ -88,7 +88,7 @@ func (d *DTU) send(p *sim.Proc, a SendArgs, flow uint64) error {
 		Data:       append([]byte(nil), a.Data...),
 	}
 	d.m.sends.Inc()
-	err = d.issueMsg(p, e.TgtTile, msgPacket{DstEp: e.TgtEp, Msg: msg, CrdRet: -1}, len(a.Data))
+	err = d.issueMsg(p, e.TgtTile, msgPacket{DstEp: e.TgtEp, Msg: msg, CrdRet: -1})
 	if err != nil {
 		e.Credits++ // command failed; nothing in flight
 	}
@@ -154,7 +154,7 @@ func (d *DTU) reply(p *sim.Proc, ep EpID, slot int, data []byte, vaddr uint64, f
 		Data:    append([]byte(nil), data...),
 	}
 	d.m.replies.Inc()
-	err = d.issueMsg(p, req.SndTile, msgPacket{DstEp: req.ReplyEp, Msg: reply, CrdRet: req.CrdEp}, len(data))
+	err = d.issueMsg(p, req.SndTile, msgPacket{DstEp: req.ReplyEp, Msg: reply, CrdRet: req.CrdEp})
 	if errors.Is(err, ErrXferTimeout) {
 		// The reply never reached the requester: re-occupy the slot so the
 		// retry (or the caller, if the budget runs out) can reissue it.
@@ -183,7 +183,7 @@ func (d *DTU) sendRaw(p *sim.Proc, tile noc.TileID, ep EpID, msg Message, crdRet
 	if d.inj.FailCmd(msg.Flow, int(d.tile), 0) {
 		return ErrXferTimeout
 	}
-	return d.issueMsg(p, tile, msgPacket{DstEp: ep, Msg: msg, CrdRet: crdRet}, len(msg.Data))
+	return d.issueMsg(p, tile, msgPacket{DstEp: ep, Msg: msg, CrdRet: crdRet})
 }
 
 // retryTransient reports whether a command wrapper should reissue after a
@@ -206,42 +206,26 @@ func (d *DTU) retryTransient(p *sim.Proc, err error, flow uint64, attempt int) b
 
 // issueMsg transmits a message packet and blocks until the destination DTU
 // acknowledges it.
-func (d *DTU) issueMsg(p *sim.Proc, dst noc.TileID, pkt msgPacket, payload int) error {
-	done := false
-	var result error
-	pkt.Ack = func(err error) {
-		result = err
-		done = true
-		p.Wake()
-	}
-	flow := pkt.Msg.Flow
-	d.eng.After(d.costs.Proc, func() {
-		np := d.net.NewPacket(d.tile, dst, headerBytes+payload, pkt)
-		np.Flow = flow
-		if d.inj.Enabled() {
-			// A terminally dropped packet must not leave the command parked
-			// forever: surface the loss as a transient timeout.
-			ack := pkt.Ack
-			np.Drop = func() { ack(ErrXferTimeout) }
-		}
-		d.net.Send(np)
-	})
-	for !done {
-		p.Park()
-	}
-	return result
+func (d *DTU) issueMsg(p *sim.Proc, dst noc.TileID, pkt msgPacket) error {
+	c := d.newCmd(p, opMsg, dst, headerBytes+len(pkt.Msg.Data))
+	c.msg = pkt
+	c.msg.cmd = c
+	err := c.issue()
+	d.releaseCmd(c)
+	return err
 }
 
 // Fetch executes FETCH_MSG: it returns the oldest unread message of the
 // receive endpoint without freeing its slot. The slot index must be passed
-// to Reply or Ack later.
+// to Reply or Ack later. The message is a copy of the slot's header; its
+// Data shares the slot's payload, which stays valid after Ack.
 //
 //m3v:simctx
-func (d *DTU) Fetch(p *sim.Proc, ep EpID) (int, *Message, error) {
+func (d *DTU) Fetch(p *sim.Proc, ep EpID) (int, Message, error) {
 	start := d.eng.Now()
 	slot, m, err := d.fetch(p, ep)
 	bytes := 0
-	if m != nil {
+	if err == nil {
 		bytes = len(m.Data)
 		// The flow's receive-side terminus: the recipient consumed the
 		// message. A root span of its own — the sender's command span may
@@ -253,14 +237,14 @@ func (d *DTU) Fetch(p *sim.Proc, ep EpID) (int, *Message, error) {
 	return slot, m, err
 }
 
-func (d *DTU) fetch(p *sim.Proc, ep EpID) (int, *Message, error) {
+func (d *DTU) fetch(p *sim.Proc, ep EpID) (int, Message, error) {
 	d.charge(p, d.costs.FetchCmd)
 	e, err := d.epFor(ep, EpReceive)
 	if err != nil {
-		return 0, nil, err
+		return 0, Message{}, err
 	}
 	if e.unread == 0 {
-		return 0, nil, ErrNoMessage
+		return 0, Message{}, ErrNoMessage
 	}
 	slot := 0
 	for e.unread&(1<<uint(slot)) == 0 {
@@ -273,7 +257,7 @@ func (d *DTU) fetch(p *sim.Proc, ep EpID) (int, *Message, error) {
 	d.m.fetches.Inc()
 	m := e.slots[slot].msg
 	p.Sleep(d.costs.xferTime(len(m.Data))) // message moves over the cache bus
-	return slot, &m, nil
+	return slot, m, nil
 }
 
 // Ack executes ACK_MSG: it frees a fetched slot and returns the credit to
@@ -294,7 +278,7 @@ func (d *DTU) ack(p *sim.Proc, ep EpID, slot int) error {
 	if slot < 0 || slot >= e.Slots || e.occupied&(1<<uint(slot)) == 0 {
 		return ErrInvalidArgs
 	}
-	msg := e.slots[slot].msg
+	sndTile, crdEp := e.slots[slot].msg.SndTile, e.slots[slot].msg.CrdEp
 	bit := uint64(1) << uint(slot)
 	if e.unread&bit != 0 && d.curMsgs > 0 {
 		d.curMsgs-- // acked without fetching
@@ -302,21 +286,24 @@ func (d *DTU) ack(p *sim.Proc, ep EpID, slot int) error {
 	e.occupied &^= bit
 	e.unread &^= bit
 	d.m.acks.Inc()
-	if msg.CrdEp >= 0 {
-		d.eng.After(d.costs.Proc, func() {
-			d.net.Send(d.net.NewPacket(d.tile, msg.SndTile, headerBytes,
-				creditPacket{DstEp: msg.CrdEp}))
-		})
+	if crdEp >= 0 {
+		r := d.newResp(respCredit)
+		r.to, r.ep = sndTile, crdEp
+		d.eng.After(d.costs.Proc, r.fire)
 	}
 	return nil
 }
 
 // Read executes the READ command: a DMA read of n bytes from offset off of
 // the memory endpoint's region. The local buffer (vaddr) and the region
-// window are both limited to a single page per command.
+// window are both limited to a single page per command. A request or answer
+// the NoC dropped for good is retried like a failed SEND.
 func (d *DTU) Read(p *sim.Proc, ep EpID, off uint64, n int, vaddr uint64) ([]byte, error) {
 	start := d.eng.Now()
 	data, err := d.read(p, ep, off, n, vaddr)
+	for attempt := 0; d.retryTransient(p, err, 0, attempt); attempt++ {
+		data, err = d.read(p, ep, off, n, vaddr)
+	}
 	d.traceCmd(start, trace.CmdRead, ep, n, err)
 	return data, err
 }
@@ -339,22 +326,13 @@ func (d *DTU) read(p *sim.Proc, ep EpID, off uint64, n int, vaddr uint64) ([]byt
 	if err := d.translate(vaddr, n, PermW); err != nil {
 		return nil, err
 	}
-	var data []byte
-	done := false
-	req := memReadReq{
-		Off: e.MemBase + off,
-		N:   n,
-		Reply: func(b []byte) {
-			data = b
-			done = true
-			p.Wake()
-		},
-	}
-	d.eng.After(d.costs.Proc, func() {
-		d.net.Send(d.net.NewPacket(d.tile, e.MemTile, headerBytes, req))
-	})
-	for !done {
-		p.Park()
+	c := d.newCmd(p, opRead, e.MemTile, headerBytes)
+	c.off, c.n = e.MemBase+off, n
+	err = c.issue()
+	data := c.data
+	d.releaseCmd(c)
+	if err != nil {
+		return nil, err
 	}
 	d.m.reads.Inc()
 	p.Sleep(d.costs.xferTime(n))
@@ -362,10 +340,13 @@ func (d *DTU) read(p *sim.Proc, ep EpID, off uint64, n int, vaddr uint64) ([]byt
 }
 
 // Write executes the WRITE command: a DMA write into the memory endpoint's
-// region.
+// region. Drops are retried as for Read.
 func (d *DTU) Write(p *sim.Proc, ep EpID, off uint64, data []byte, vaddr uint64) error {
 	start := d.eng.Now()
 	err := d.write(p, ep, off, data, vaddr)
+	for attempt := 0; d.retryTransient(p, err, 0, attempt); attempt++ {
+		err = d.write(p, ep, off, data, vaddr)
+	}
 	d.traceCmd(start, trace.CmdWrite, ep, len(data), err)
 	return err
 }
@@ -388,20 +369,13 @@ func (d *DTU) write(p *sim.Proc, ep EpID, off uint64, data []byte, vaddr uint64)
 	if err := d.translate(vaddr, len(data), PermR); err != nil {
 		return err
 	}
-	done := false
-	req := memWriteReq{
-		Off:  e.MemBase + off,
-		Data: append([]byte(nil), data...),
-		Ack: func() {
-			done = true
-			p.Wake()
-		},
-	}
-	d.eng.After(d.costs.Proc, func() {
-		d.net.Send(d.net.NewPacket(d.tile, e.MemTile, headerBytes+len(data), req))
-	})
-	for !done {
-		p.Park()
+	c := d.newCmd(p, opWrite, e.MemTile, headerBytes+len(data))
+	c.off = e.MemBase + off
+	c.buf = append(c.buf[:0], data...)
+	err = c.issue()
+	d.releaseCmd(c)
+	if err != nil {
+		return err
 	}
 	d.m.writes.Inc()
 	p.Sleep(d.costs.xferTime(len(data)))

@@ -43,7 +43,11 @@ type DTU struct {
 	curAct  ActID
 	curMsgs int // unread-message count of the current activity (CUR_ACT)
 
-	coreReqs []coreReq
+	// coreReqs is the core-request queue: a ring of coreReqDepth entries
+	// starting at coreReqHead. deliverMsg NACKs instead of overrunning it.
+	coreReqs    [coreReqDepth]coreReq
+	coreReqHead int
+	coreReqN    int
 
 	// curFlow/curSpan hold the trace flow of the in-flight SEND/REPLY
 	// command so nested emissions (the TLB check) can attach to it as
@@ -71,6 +75,12 @@ type DTU struct {
 	// inj injects command faults and arms transient-failure recovery. Nil
 	// (the default) means fault-free commands with no retry machinery.
 	inj *fault.Injector
+
+	// freeCmds and freeResps pool the command records (cmd.go); irq is the
+	// cached core-request interrupt callback.
+	freeCmds  []*cmd
+	freeResps []*resp
+	irq       func()
 }
 
 // dtuMetrics are the DTU's registry-backed counters, replacing the loose
@@ -118,6 +128,7 @@ func New(eng *sim.Engine, net *noc.Network, tile noc.TileID, coreClock sim.Clock
 		rec:       eng.Tracer(),
 		m:         newDTUMetrics(eng.Tracer().Metrics(), tile),
 	}
+	d.irq = d.raiseIrq
 	if virt {
 		d.tlb = NewTLB()
 	}
@@ -243,52 +254,26 @@ func (d *DTU) CheckPMP(addr uint64, n int, perm Perm) (noc.TileID, uint64, error
 //m3v:simctx
 func (d *DTU) Deliver(pkt *noc.Packet) bool {
 	switch pl := pkt.Payload.(type) {
-	case msgPacket:
+	case *msgPacket:
 		return d.deliverMsg(pkt, pl)
 	case creditPacket:
 		d.returnCredits(pl.DstEp)
 		return true
-	case respPacket:
-		pl.fn()
+	case *resp:
+		pl.arrived()
 		return true
-	case memReadReq:
-		d.serveMemRead(pkt, pl)
-		return true
-	case memWriteReq:
-		d.serveMemWrite(pkt, pl)
-		return true
-	case extConfigReq:
-		d.serveExtConfig(pkt, pl)
-		return true
-	case extInvalidateReq:
-		d.serveExtInvalidate(pkt, pl)
-		return true
-	case extReadEpsReq:
-		d.serveExtReadEps(pkt, pl)
-		return true
-	case extWriteEpsReq:
-		d.serveExtWriteEps(pkt, pl)
+	case *cmd:
+		d.serve(pkt.Src, pl)
 		return true
 	default:
 		panic(fmt.Sprintf("dtu: tile %d received unknown payload %T", d.tile, pkt.Payload))
 	}
 }
 
-// respPacket carries a response closure back across the NoC; it executes at
-// the destination tile when the packet arrives.
-type respPacket struct {
-	fn func()
-}
-
-// respond sends a response packet of the given size back to dst.
-func (d *DTU) respond(dst noc.TileID, size int, fn func()) {
-	d.net.Send(d.net.NewPacket(d.tile, dst, size, respPacket{fn: fn}))
-}
-
 // deliverMsg handles an incoming message packet. The return value feeds the
 // NoC's flow control: false means "retry later". pkt is recycled by the NoC
 // after this returns, so anything needed later is copied to locals first.
-func (d *DTU) deliverMsg(pkt *noc.Packet, pl msgPacket) bool {
+func (d *DTU) deliverMsg(pkt *noc.Packet, pl *msgPacket) bool {
 	src := pkt.Src
 	e := &d.eps[pl.DstEp]
 	notPresent := e.Kind != EpReceive
@@ -302,10 +287,7 @@ func (d *DTU) deliverMsg(pkt *noc.Packet, pl msgPacket) bool {
 	if notPresent {
 		d.rec.EmitSpan(pl.Msg.Flow, 0, trace.SpanDTUDeliver, now, now, int(d.tile),
 			trace.CompDTU, trace.PathNone, int64(pl.DstEp), deliverNoRecipient)
-		ack := pl.Ack
-		d.eng.After(d.costs.Proc, func() {
-			d.respond(src, headerBytes, func() { ack(ErrNoRecipient) })
-		})
+		d.answer(d.costs.Proc, respAnswer, src, headerBytes, pl.cmd, ErrNoRecipient)
 		return true // consumed; the error travels back explicitly
 	}
 	slot := e.freeSlot()
@@ -315,7 +297,7 @@ func (d *DTU) deliverMsg(pkt *noc.Packet, pl msgPacket) bool {
 			trace.CompDTU, trace.PathNone, int64(pl.DstEp), deliverNacked)
 		return false // receive buffer full: NoC-level backpressure
 	}
-	if d.virt && e.Act != d.curAct && e.Act != ActInvalid && len(d.coreReqs) >= coreReqDepth {
+	if d.virt && e.Act != d.curAct && e.Act != ActInvalid && d.coreReqN >= coreReqDepth {
 		// Core-request queue overrun: absorbed by packet flow control
 		// (paper §3.8).
 		d.m.nacked.Inc()
@@ -342,15 +324,11 @@ func (d *DTU) deliverMsg(pkt *noc.Packet, pl msgPacket) bool {
 		d.pushCoreReq(e.Act, pl.Msg.Flow)
 	}
 	if d.OnMsgArrived != nil {
-		act := e.Act
-		d.eng.After(d.costs.Proc, func() { d.OnMsgArrived(act) })
+		r := d.newResp(respArrived)
+		r.act = e.Act
+		d.eng.After(d.costs.Proc, r.fire)
 	}
-	if pl.Ack != nil {
-		ack := pl.Ack
-		d.eng.After(d.costs.Proc, func() {
-			d.respond(src, headerBytes, func() { ack(nil) })
-		})
-	}
+	d.answer(d.costs.Proc, respAnswer, src, headerBytes, pl.cmd, nil)
 	return true
 }
 
@@ -368,15 +346,21 @@ func (d *DTU) returnCredits(ep EpID) {
 	}
 }
 
+// pushCoreReq appends to the core-request ring. deliverMsg checked that
+// it has room.
 func (d *DTU) pushCoreReq(act ActID, flow uint64) {
-	wasEmpty := len(d.coreReqs) == 0
+	if d.coreReqN >= coreReqDepth {
+		panic(fmt.Sprintf("dtu: tile %d core-request queue overrun", d.tile))
+	}
+	wasEmpty := d.coreReqN == 0
 	span := d.rec.BeginSpan(flow, 0, trace.SpanDTUCoreReq,
 		int64(d.eng.Now()), int(d.tile), trace.CompDTU)
-	d.coreReqs = append(d.coreReqs, coreReq{act: act, flow: flow, span: span})
+	d.coreReqs[(d.coreReqHead+d.coreReqN)%coreReqDepth] = coreReq{act: act, flow: flow, span: span}
+	d.coreReqN++
 	d.m.coreReqs.Inc()
-	d.m.coreReqDepth.Set(int64(len(d.coreReqs)))
+	d.m.coreReqDepth.Set(int64(d.coreReqN))
 	d.rec.CoreReq(int64(d.eng.Now()), int(d.tile), trace.KindCoreReqRaise,
-		int64(act), int64(len(d.coreReqs)))
+		int64(act), int64(d.coreReqN))
 	if wasEmpty {
 		d.injectIrq()
 	}
@@ -386,35 +370,47 @@ func (d *DTU) injectIrq() {
 	if d.OnCoreReq == nil {
 		return
 	}
-	d.eng.After(d.costs.IrqLatency, func() {
-		if len(d.coreReqs) > 0 && d.OnCoreReq != nil {
-			d.OnCoreReq()
+	d.eng.After(d.costs.IrqLatency, d.irq)
+}
+
+// raiseIrq is the interrupt line firing: it fires only while requests are
+// still queued.
+func (d *DTU) raiseIrq() {
+	if d.coreReqN > 0 && d.OnCoreReq != nil {
+		d.OnCoreReq()
+	}
+}
+
+// serve handles a memory or external request from the DTU on tile src. The
+// answer (a *resp) completes the requester's command.
+func (d *DTU) serve(src noc.TileID, c *cmd) {
+	switch c.op {
+	case opRead:
+		if d.mem == nil {
+			panic(fmt.Sprintf("dtu: tile %d got memory read but has no DRAM", d.tile))
 		}
-	})
-}
-
-// serveMemRead handles a DMA read on a memory tile.
-func (d *DTU) serveMemRead(pkt *noc.Packet, pl memReadReq) {
-	if d.mem == nil {
-		panic(fmt.Sprintf("dtu: tile %d got memory read but has no DRAM", d.tile))
+		d.answer(d.mem.AccessDelay(c.n), respMemRead, src, 0, c, nil)
+	case opWrite:
+		if d.mem == nil {
+			panic(fmt.Sprintf("dtu: tile %d got memory write but has no DRAM", d.tile))
+		}
+		d.answer(d.mem.AccessDelay(len(c.buf)), respMemWrite, src, headerBytes, c, nil)
+	case opConfig:
+		err := d.ConfigureLocal(c.ep, c.conf)
+		d.answer(d.costs.Proc, respAnswer, src, headerBytes, c, err)
+	case opInvalidate:
+		err := d.InvalidateLocal(c.ep)
+		d.answer(d.costs.Proc, respAnswer, src, headerBytes, c, err)
+	case opReadEps:
+		d.serveReadEps(src, c)
+	case opWriteEps:
+		for _, ec := range c.confs {
+			if err := d.ConfigureLocal(ec.Ep, ec.Conf); err != nil {
+				panic(fmt.Sprintf("dtu: bulk EP write failed: %v", err))
+			}
+		}
+		d.answer(d.costs.Proc, respAnswer, src, headerBytes, c, nil)
+	default:
+		panic(fmt.Sprintf("dtu: tile %d received unknown command %d", d.tile, c.op))
 	}
-	delay := d.mem.AccessDelay(pl.N)
-	src := pkt.Src // pkt is recycled once Deliver returns
-	d.eng.After(delay, func() {
-		data := d.mem.ReadAt(pl.Off, pl.N)
-		d.respond(src, headerBytes+len(data), func() { pl.Reply(data) })
-	})
-}
-
-// serveMemWrite handles a DMA write on a memory tile.
-func (d *DTU) serveMemWrite(pkt *noc.Packet, pl memWriteReq) {
-	if d.mem == nil {
-		panic(fmt.Sprintf("dtu: tile %d got memory write but has no DRAM", d.tile))
-	}
-	delay := d.mem.AccessDelay(len(pl.Data))
-	src := pkt.Src
-	d.eng.After(delay, func() {
-		d.mem.WriteAt(pl.Off, pl.Data)
-		d.respond(src, headerBytes, pl.Ack)
-	})
 }

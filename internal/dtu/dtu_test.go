@@ -431,7 +431,7 @@ func TestReadEpsRemote(t *testing.T) {
 	must(r.d1.ConfigureLocal(10, SendEP(actA, 0, 1, 0x11, 2, 64)))
 	must(r.d1.ConfigureLocal(11, RecvEP(actA, 4, 64)))
 	r.run(func(p *sim.Proc) {
-		eps := r.d0.ReadEpsRemote(p, 1, 10, 2)
+		eps := r.d0.ReadEpsRemote(p, 1, 10, 2, nil)
 		if len(eps) != 2 {
 			t.Fatalf("got %d EPs, want 2", len(eps))
 		}

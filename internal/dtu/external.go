@@ -1,8 +1,6 @@
 package dtu
 
 import (
-	"fmt"
-
 	"m3v/internal/noc"
 	"m3v/internal/sim"
 )
@@ -43,83 +41,40 @@ func (d *DTU) InvalidateLocal(ep EpID) error {
 // given tile and blocks until it is acknowledged. Must be called from the
 // controller's process.
 func (d *DTU) ConfigureRemote(p *sim.Proc, tile noc.TileID, ep EpID, conf Endpoint) error {
-	done := false
-	var result error
-	req := extConfigReq{
-		Ep:   ep,
-		Conf: conf,
-		Ack: func(err error) {
-			result = err
-			done = true
-			p.Wake()
-		},
-	}
-	d.eng.After(d.costs.Proc, func() {
-		d.net.Send(d.net.NewPacket(d.tile, tile, extReqBytes, req))
-	})
-	for !done {
-		p.Park()
-	}
-	return result
+	c := d.newCmd(p, opConfig, tile, extReqBytes)
+	c.ep, c.conf = ep, conf
+	err := c.issue()
+	d.releaseCmd(c)
+	return err
 }
 
 // InvalidateRemote clears an endpoint on a remote DTU.
 func (d *DTU) InvalidateRemote(p *sim.Proc, tile noc.TileID, ep EpID) error {
-	done := false
-	var result error
-	req := extInvalidateReq{
-		Ep: ep,
-		Ack: func(err error) {
-			result = err
-			done = true
-			p.Wake()
-		},
-	}
-	d.eng.After(d.costs.Proc, func() {
-		d.net.Send(d.net.NewPacket(d.tile, tile, extReqBytes, req))
-	})
-	for !done {
-		p.Park()
-	}
-	return result
+	c := d.newCmd(p, opInvalidate, tile, extReqBytes)
+	c.ep = ep
+	err := c.issue()
+	d.releaseCmd(c)
+	return err
 }
 
 // ReadEpsRemote fetches count endpoint registers starting at first from a
-// remote DTU. The M³x controller uses this to save DTU state during a remote
-// context switch.
-func (d *DTU) ReadEpsRemote(p *sim.Proc, tile noc.TileID, first, count int) []Endpoint {
-	var eps []Endpoint
-	done := false
-	req := extReadEpsReq{
-		First: first,
-		Count: count,
-		Reply: func(e []Endpoint) {
-			eps = e
-			done = true
-			p.Wake()
-		},
-	}
-	d.eng.After(d.costs.Proc, func() {
-		d.net.Send(d.net.NewPacket(d.tile, tile, extReqBytes, req))
-	})
-	for !done {
-		p.Park()
-	}
+// remote DTU into buf, which it returns resliced (and grown if too small).
+// The M³x controller uses this to save DTU state during a remote context
+// switch, passing the same buffer every time.
+func (d *DTU) ReadEpsRemote(p *sim.Proc, tile noc.TileID, first, count int, buf []Endpoint) []Endpoint {
+	c := d.newCmd(p, opReadEps, tile, extReqBytes)
+	c.first, c.n, c.eps = first, count, buf
+	c.issue()
+	eps := c.eps
+	d.releaseCmd(c)
 	return eps
 }
 
 // WriteEpsRemote bulk-writes endpoint state to a remote DTU. The M³x
 // controller uses it to restore an activity's saved DTU state during a
-// remote context switch; the transfer size models the real cost.
+// remote context switch; the transfer size models the real cost. The
+// remote DTU has consumed eps when this returns.
 func (d *DTU) WriteEpsRemote(p *sim.Proc, tile noc.TileID, eps []EpConf) {
-	done := false
-	req := extWriteEpsReq{
-		Eps: eps,
-		Ack: func() {
-			done = true
-			p.Wake()
-		},
-	}
 	size := extReqBytes * len(eps)
 	for _, ec := range eps {
 		// Buffered messages travel with the state.
@@ -129,60 +84,24 @@ func (d *DTU) WriteEpsRemote(p *sim.Proc, tile noc.TileID, eps []EpConf) {
 			}
 		}
 	}
-	d.eng.After(d.costs.Proc, func() {
-		d.net.Send(d.net.NewPacket(d.tile, tile, size, req))
-	})
-	for !done {
-		p.Park()
-	}
+	c := d.newCmd(p, opWriteEps, tile, size)
+	c.confs = eps
+	c.issue()
+	d.releaseCmd(c)
 }
 
-func (d *DTU) serveExtWriteEps(pkt *noc.Packet, pl extWriteEpsReq) {
-	for _, ec := range pl.Eps {
-		if err := d.ConfigureLocal(ec.Ep, ec.Conf); err != nil {
-			panic(fmt.Sprintf("dtu: bulk EP write failed: %v", err))
-		}
-	}
-	ack := pl.Ack
-	src := pkt.Src // pkt is recycled once Deliver returns
-	d.eng.After(d.costs.Proc, func() {
-		d.respond(src, headerBytes, ack)
-	})
-}
-
-func (d *DTU) serveExtConfig(pkt *noc.Packet, pl extConfigReq) {
-	err := d.ConfigureLocal(pl.Ep, pl.Conf)
-	ack := pl.Ack
-	src := pkt.Src
-	d.eng.After(d.costs.Proc, func() {
-		d.respond(src, headerBytes, func() { ack(err) })
-	})
-}
-
-func (d *DTU) serveExtInvalidate(pkt *noc.Packet, pl extInvalidateReq) {
-	err := d.InvalidateLocal(pl.Ep)
-	ack := pl.Ack
-	src := pkt.Src
-	d.eng.After(d.costs.Proc, func() {
-		d.respond(src, headerBytes, func() { ack(err) })
-	})
-}
-
-func (d *DTU) serveExtReadEps(pkt *noc.Packet, pl extReadEpsReq) {
-	first, count := pl.First, pl.Count
+// serveReadEps copies the requested registers into the requester's buffer
+// now, at the request's arrival, and answers after the processing delay.
+func (d *DTU) serveReadEps(src noc.TileID, c *cmd) {
+	first, count := c.first, c.n
 	if first < 0 {
 		first = 0
 	}
 	if first+count > NumEPs {
 		count = NumEPs - first
 	}
-	out := make([]Endpoint, count)
-	copy(out, d.eps[first:first+count])
-	reply := pl.Reply
-	src := pkt.Src
-	d.eng.After(d.costs.Proc, func() {
-		d.respond(src, extReqBytes*count, func() { reply(out) })
-	})
+	c.eps = append(c.eps[:0], d.eps[first:first+count]...)
+	d.answer(d.costs.Proc, respAnswer, src, extReqBytes*count, c, nil)
 }
 
 // SetCurAct initializes CUR_ACT during platform boot (before TileMux runs).

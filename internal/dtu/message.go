@@ -75,15 +75,16 @@ var (
 
 // NoC payload types exchanged between DTUs.
 
-// msgPacket carries a message to a receive endpoint.
+// msgPacket carries a message to a receive endpoint. It lives inside the
+// sender's command record, and the NoC packet carries a pointer to it.
 type msgPacket struct {
 	DstEp EpID
 	Msg   Message
 	// CrdRet, if >= 0, is a piggybacked credit return for a send endpoint at
 	// the destination (a reply acknowledges the request it answers).
 	CrdRet EpID
-	// Ack receives the delivery status at the sender DTU.
-	Ack func(error)
+	// cmd is the sender's command record; the delivery status completes it.
+	cmd *cmd
 }
 
 // creditPacket returns credits to a send endpoint after the receiver acked a
@@ -92,51 +93,10 @@ type creditPacket struct {
 	DstEp EpID
 }
 
-// memReadReq asks a memory tile for data.
-type memReadReq struct {
-	Off   uint64
-	N     int
-	Reply func(data []byte)
-}
-
-// memWriteReq sends data to a memory tile.
-type memWriteReq struct {
-	Off  uint64
-	Data []byte
-	Ack  func()
-}
-
-// extConfigReq is an external-interface request from the controller to
-// configure an endpoint.
-type extConfigReq struct {
-	Ep   EpID
-	Conf Endpoint
-	Ack  func(error)
-}
-
-// extInvalidateReq invalidates an endpoint remotely.
-type extInvalidateReq struct {
-	Ep  EpID
-	Ack func(error)
-}
-
-// extReadEpsReq reads endpoint state remotely (used by the M³x controller to
-// save DTU state on a remote context switch).
-type extReadEpsReq struct {
-	First, Count int
-	Reply        func([]Endpoint)
-}
-
 // EpConf pairs an endpoint id with a configuration for bulk writes.
 type EpConf struct {
 	Ep   EpID
 	Conf Endpoint
-}
-
-// extWriteEpsReq bulk-writes endpoint state remotely (M³x restore path).
-type extWriteEpsReq struct {
-	Eps []EpConf
-	Ack func()
 }
 
 // String implements fmt.Stringer for diagnostics.

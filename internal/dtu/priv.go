@@ -60,10 +60,11 @@ func (d *DTU) InvalidateTLBAct(p *sim.Proc, act ActID) {
 func (d *DTU) FetchCoreReq(p *sim.Proc) (act ActID, flow uint64, ok bool) {
 	d.requirePriv()
 	d.charge(p, d.costs.PrivCmd)
-	if len(d.coreReqs) == 0 {
+	if d.coreReqN == 0 {
 		return ActInvalid, 0, false
 	}
-	return d.coreReqs[0].act, d.coreReqs[0].flow, true
+	head := &d.coreReqs[d.coreReqHead]
+	return head.act, head.flow, true
 }
 
 // AckCoreReq pops the head core request and closes its dtu.core_req span.
@@ -72,20 +73,22 @@ func (d *DTU) FetchCoreReq(p *sim.Proc) (act ActID, flow uint64, ok bool) {
 func (d *DTU) AckCoreReq(p *sim.Proc) {
 	d.requirePriv()
 	d.charge(p, d.costs.PrivCmd)
-	if len(d.coreReqs) == 0 {
+	if d.coreReqN == 0 {
 		return
 	}
-	cr := d.coreReqs[0]
-	d.coreReqs = d.coreReqs[1:]
-	d.m.coreReqDepth.Set(int64(len(d.coreReqs)))
+	cr := d.coreReqs[d.coreReqHead]
+	d.coreReqs[d.coreReqHead] = coreReq{}
+	d.coreReqHead = (d.coreReqHead + 1) % coreReqDepth
+	d.coreReqN--
+	d.m.coreReqDepth.Set(int64(d.coreReqN))
 	d.rec.EndSpanArgs(cr.span, int64(d.eng.Now()), trace.PathNone,
-		int64(cr.act), int64(len(d.coreReqs)))
+		int64(cr.act), int64(d.coreReqN))
 	d.rec.CoreReq(int64(d.eng.Now()), int(d.tile), trace.KindCoreReqDrain,
-		int64(cr.act), int64(len(d.coreReqs)))
-	if len(d.coreReqs) > 0 {
+		int64(cr.act), int64(d.coreReqN))
+	if d.coreReqN > 0 {
 		d.injectIrq()
 	}
 }
 
 // PendingCoreReqs reports the queue depth, for tests.
-func (d *DTU) PendingCoreReqs() int { return len(d.coreReqs) }
+func (d *DTU) PendingCoreReqs() int { return d.coreReqN }

@@ -128,7 +128,7 @@ type Kernel struct {
 
 	// ReplyFallback, if set, handles syscall replies whose recipient is not
 	// running (M³x: the reply is injected into the saved DTU state).
-	ReplyFallback func(msg *dtu.Message, resp []byte) bool
+	ReplyFallback func(msg dtu.Message, resp []byte) bool
 
 	// OnIdle, if set, runs whenever the controller is about to idle. The
 	// M³x driver performs its time-slice rotations here.
@@ -229,7 +229,7 @@ func (k *Kernel) loop(p *sim.Proc) {
 			k.cSyscalls.Inc()
 			p.Sleep(k.clock.Cycles(k.costs.Syscall))
 			caller := k.acts[uint32(msg.Label)]
-			resp, deferred := k.handleSyscall(p, caller, msg, slot)
+			resp, deferred := k.handleSyscall(p, caller, &msg, slot)
 			if k.rec.Enabled() {
 				if op, _, err := proto.ParseOp(msg.Data); err == nil {
 					k.rec.Syscall(int64(start), int64(k.eng.Now()-start),
@@ -244,7 +244,7 @@ func (k *Kernel) loop(p *sim.Proc) {
 			if deferred {
 				continue // reply comes later (e.g. ActivityWait)
 			}
-			k.reply(p, slot, msg, resp)
+			k.reply(p, slot, &msg, resp)
 			if k.PostSyscall != nil {
 				k.PostSyscall(p)
 			}
@@ -275,7 +275,7 @@ func (k *Kernel) reply(p *sim.Proc, slot int, msg *dtu.Message, resp []byte) {
 	if err == nil {
 		return
 	}
-	if errors.Is(err, dtu.ErrNoRecipient) && k.ReplyFallback != nil && k.ReplyFallback(msg, resp) {
+	if errors.Is(err, dtu.ErrNoRecipient) && k.ReplyFallback != nil && k.ReplyFallback(*msg, resp) {
 		return
 	}
 	panic(fmt.Sprintf("kernel: syscall reply failed: %v", err))
@@ -299,7 +299,7 @@ func (k *Kernel) handleNotify(p *sim.Proc, data []byte) {
 	act.Exited = true
 	act.ExitCode = code
 	for _, w := range act.waiters {
-		k.reply(p, w.slot, w.msg, proto.Resp(proto.EOK, uint64(uint32(code))))
+		k.reply(p, w.slot, &w.msg, proto.Resp(proto.EOK, uint64(uint32(code))))
 	}
 	act.waiters = nil
 	if k.OnActExit != nil {

@@ -83,7 +83,7 @@ type ActEntry struct {
 
 type pendingWait struct {
 	slot int
-	msg  *dtu.Message
+	msg  dtu.Message
 }
 
 // binding records which endpoint an activated capability configured, so

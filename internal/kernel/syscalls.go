@@ -209,7 +209,7 @@ func (k *Kernel) handleSyscall(p *sim.Proc, caller *ActEntry, msg *dtu.Message, 
 		if act.Exited {
 			return proto.Resp(proto.EOK, uint64(uint32(act.ExitCode))), false
 		}
-		act.waiters = append(act.waiters, pendingWait{slot: slot, msg: msg})
+		act.waiters = append(act.waiters, pendingWait{slot: slot, msg: *msg})
 		return nil, true
 
 	case proto.OpMapPages:
@@ -264,7 +264,7 @@ func (k *Kernel) handleSyscall(p *sim.Proc, caller *ActEntry, msg *dtu.Message, 
 			act.Exited = true
 			act.ExitCode = -1
 			for _, w := range act.waiters {
-				k.reply(p, w.slot, w.msg, proto.Resp(proto.EOK, uint64(uint32(act.ExitCode))))
+				k.reply(p, w.slot, &w.msg, proto.Resp(proto.EOK, uint64(uint32(act.ExitCode))))
 			}
 			act.waiters = nil
 			if k.OnActExit != nil {

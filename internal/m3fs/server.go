@@ -119,8 +119,8 @@ func Program(cfg Config) activity.Program {
 		if cfg.Ready != nil {
 			*cfg.Ready = true
 		}
-		a.Serve(rgEp, func(msg *dtu.Message) ([]byte, bool) {
-			return s.handle(msg), false
+		a.Serve(rgEp, func(msg dtu.Message) ([]byte, bool) {
+			return s.handle(&msg), false
 		})
 	}
 }

@@ -37,8 +37,14 @@ type Driver struct {
 
 	// current is the activity each user tile is running (nil = none).
 	current map[noc.TileID]uint32
-	// saved holds the DTU state of every non-running activity.
+	// saved holds the DTU state of every non-running activity. A restore
+	// empties an activity's set but keeps its array for the next save.
 	saved map[uint32][]dtu.EpConf
+	// live and invalidate are the remote switch's scratch buffers: the
+	// stopped activity's endpoint registers as read from its tile, and the
+	// list of endpoints to clear there.
+	live       []dtu.Endpoint
+	invalidate []dtu.EpConf
 	// mirror is the controller's copy of every endpoint configuration it
 	// ever issued (routing metadata for the slow path).
 	mirror map[noc.TileID]map[dtu.EpID]dtu.Endpoint
@@ -141,7 +147,7 @@ func (d *Driver) onIdle(p *sim.Proc) {
 
 // replyFallback injects a syscall reply into the saved DTU state of a
 // stopped caller and restores the piggybacked send credit.
-func (d *Driver) replyFallback(msg *dtu.Message, resp []byte) bool {
+func (d *Driver) replyFallback(msg dtu.Message, resp []byte) bool {
 	owner := uint32(msg.SndAct)
 	rg := d.savedEp(owner, msg.ReplyEp)
 	if rg == nil {
@@ -186,10 +192,19 @@ func (d *Driver) onActStarting(p *sim.Proc, act *kernel.ActEntry) {
 		return
 	}
 	d.current[act.Tile] = act.ID
-	if set := d.saved[act.ID]; len(set) > 0 {
-		d.k.DTU().WriteEpsRemote(p, act.Tile, set)
-		delete(d.saved, act.ID)
+	d.restoreSaved(p, act.Tile, act.ID)
+}
+
+// restoreSaved pushes an activity's saved endpoints onto its tile and
+// empties the set, keeping its array for the next save.
+func (d *Driver) restoreSaved(p *sim.Proc, tile noc.TileID, act uint32) {
+	set := d.saved[act]
+	if len(set) == 0 {
+		return
 	}
+	d.k.DTU().WriteEpsRemote(p, tile, set)
+	clear(set)
+	d.saved[act] = set[:0]
 }
 
 // Costs returns the timing model.
@@ -388,30 +403,13 @@ func (d *Driver) performSwitch(p *sim.Proc, tile noc.TileID, to uint32, flow uin
 	te := k.Tile(tile)
 	// 2. Save the stopped activity's endpoints.
 	if cur != 0 {
-		curAct := k.Act(cur)
-		if curAct != nil {
+		if curAct := k.Act(cur); curAct != nil {
 			first, count := int(kernel.UserEpFirst), int(te.NextEp-kernel.UserEpFirst)
-			if count > 0 {
-				live := k.DTU().ReadEpsRemote(p, tile, first, count)
-				var invalidate []dtu.EpConf
-				for i, conf := range live {
-					if conf.Act == curAct.Local {
-						epID := dtu.EpID(first + i)
-						d.setSaved(cur, epID, conf)
-						invalidate = append(invalidate, dtu.EpConf{Ep: epID})
-					}
-				}
-				if len(invalidate) > 0 {
-					k.DTU().WriteEpsRemote(p, tile, invalidate)
-				}
-			}
+			d.saveEps(p, tile, cur, curAct.Local, first, count)
 		}
 	}
 	// 3. Restore the target's saved endpoints.
-	if set := d.saved[to]; len(set) > 0 {
-		k.DTU().WriteEpsRemote(p, tile, set)
-		delete(d.saved, to)
-	}
+	d.restoreSaved(p, tile, to)
 	// 4. Resume.
 	toAct := k.Act(to)
 	req := proto.NewWriter(proto.OpMuxResume).U16(uint16(toAct.Local)).Done()
@@ -421,6 +419,27 @@ func (d *Driver) performSwitch(p *sim.Proc, tile noc.TileID, to uint32, flow uin
 	d.current[tile] = to
 	d.rec.EmitSpan(flow, 0, trace.SpanKernSwitch, int64(start), int64(d.eng.Now()),
 		int(d.k.DTU().Tile()), trace.CompKernel, trace.PathNone, int64(tile), int64(to))
+}
+
+// saveEps pulls endpoint registers [first, first+count) of a tile over the
+// NoC, moves those owned by activity act (tile-local id local) into its
+// saved set, and invalidates them on the tile.
+func (d *Driver) saveEps(p *sim.Proc, tile noc.TileID, act uint32, local dtu.ActID, first, count int) {
+	if count <= 0 {
+		return
+	}
+	d.live = d.k.DTU().ReadEpsRemote(p, tile, first, count, d.live)
+	d.invalidate = d.invalidate[:0]
+	for i := range d.live {
+		if conf := &d.live[i]; conf.Act == local {
+			epID := dtu.EpID(first + i)
+			d.setSaved(act, epID, *conf)
+			d.invalidate = append(d.invalidate, dtu.EpConf{Ep: epID})
+		}
+	}
+	if len(d.invalidate) > 0 {
+		d.k.DTU().WriteEpsRemote(p, tile, d.invalidate)
+	}
 }
 
 // forwardRetryMax bounds the resends of a Forward syscall whose delivery
@@ -463,7 +482,7 @@ func SlowSend(a *activity.Activity, args dtu.SendArgs) error {
 
 // SlowReply is the activity-side slow path for the reply leg (install as
 // Activity.SlowReply).
-func SlowReply(a *activity.Activity, orig *dtu.Message, data []byte) error {
+func SlowReply(a *activity.Activity, orig dtu.Message, data []byte) error {
 	req := proto.NewWriter(proto.OpForward).
 		U8(1).
 		U64(a.D.LastFlow()).

@@ -97,7 +97,7 @@ func Program(cfg Config) activity.Program {
 			// Request path: client messages.
 			if slot, msg, ok := a.TryRecv(rgEp); ok {
 				progress = true
-				resp := handleReq(a, cfg.Dev, sessions, msg)
+				resp := handleReq(a, cfg.Dev, sessions, &msg)
 				if resp != nil {
 					if err := a.ReplyMsg(rgEp, slot, msg, resp, 0); err != nil {
 						panic(fmt.Sprintf("net: reply: %v", err))

@@ -38,8 +38,9 @@ type Packet struct {
 //
 // Deliver must not retain pkt (or schedule closures that read it later): the
 // network recycles packets through a free list as soon as delivery completes.
-// Payload values are copied out by the type switch in the handler; scalar
-// fields like Src must be copied to locals before any deferred use.
+// Payload values are copied out by the type switch in the handler (a pointer
+// payload refers to the sender's state, not to the packet); scalar fields
+// like Src must be copied to locals before any deferred use.
 type Handler interface {
 	Deliver(pkt *Packet) bool
 }
@@ -91,7 +92,8 @@ type Network struct {
 	routerFree []sim.Time
 
 	// freePkts and freeFlights recycle packets and in-flight transfer state;
-	// in steady state a send costs no allocation beyond the payload boxing.
+	// in steady state a send costs no allocation beyond the payload boxing,
+	// and none at all for pointer-shaped payloads (the DTU's records).
 	freePkts    []*Packet
 	freeFlights []*inflight
 

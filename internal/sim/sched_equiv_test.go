@@ -156,3 +156,36 @@ func FuzzQueueEquivalence(f *testing.F) {
 		}
 	})
 }
+
+// TestInsertCurReclaimsConsumedPrefix: merging an event into a sorted run
+// whose array is full moves the unconsumed events to the front instead of
+// growing the array, keeps (at, seq) order, and leaves no stale callback
+// behind in the array.
+func TestInsertCurReclaimsConsumedPrefix(t *testing.T) {
+	var q wheelQueue
+	fn := func() {}
+	q.cur = make([]event, 0, 8)
+	for i := 0; i < 8; i++ {
+		q.cur = append(q.cur, event{at: Time(i), seq: uint64(i), fn: fn})
+	}
+	for i := 0; i < 6; i++ {
+		q.popCur()
+	}
+	q.lowBound = 100
+	q.insertCur(event{at: 6, seq: 100, fn: fn})
+	if cap(q.cur) != 8 {
+		t.Errorf("cap(cur) = %d after the insert, want 8 (prefix reclaimed)", cap(q.cur))
+	}
+	var got []uint64
+	for q.curHead < len(q.cur) {
+		got = append(got, q.popCur().seq)
+	}
+	if want := []uint64{6, 100, 7}; !slices.Equal(got, want) {
+		t.Errorf("pop order = %v, want %v", got, want)
+	}
+	for i, ev := range q.cur[:cap(q.cur)] {
+		if ev.fn != nil {
+			t.Errorf("slot %d still holds the callback of seq %d", i, ev.seq)
+		}
+	}
+}

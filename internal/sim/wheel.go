@@ -136,9 +136,17 @@ func (q *wheelQueue) schedule(ev event, now Time) {
 // insertCur merges an event into the sorted pending run. New events always
 // carry the largest seq yet, so they sort after every queued event with the
 // same timestamp: the binary search places them past all at <= ev.at.
+// When the run's array is full, the consumed prefix [0, curHead) is
+// reclaimed first, so the array grows only when the pending run needs it.
 //
 //m3v:noalloc
 func (q *wheelQueue) insertCur(ev event) {
+	if len(q.cur) == cap(q.cur) && q.curHead > 0 {
+		n := copy(q.cur, q.cur[q.curHead:])
+		clear(q.cur[n:]) // release the moved events' closures
+		q.cur = q.cur[:n]
+		q.curHead = 0
+	}
 	lo, hi := q.curHead, len(q.cur)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)

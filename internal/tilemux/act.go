@@ -82,6 +82,8 @@ type Act struct {
 	sliceEnd sim.Time
 	preempt  bool
 	killed   bool
+	// expire is the cached time-slice timer callback (sliceExpired).
+	expire func()
 
 	opStart sim.Time
 

@@ -196,6 +196,7 @@ func (m *Mux) CreateAct(id dtu.ActID, name string) *Act {
 		pagerEp: -1,
 		pages:   make(map[uint64]pte),
 	}
+	a.expire = a.sliceExpired
 	m.acts[id] = a
 	return a
 }
@@ -279,10 +280,16 @@ func (m *Mux) makeReady(a *Act) {
 	m.muxProc.Wake()
 }
 
+// popRun pops the run queue's head in place, so the queue's array is reused
+// instead of creeping forward and reallocating.
+//
+//m3v:noalloc
 func (m *Mux) popRun() *Act {
 	for len(m.runq) > 0 {
 		a := m.runq[0]
-		m.runq = m.runq[1:]
+		n := copy(m.runq, m.runq[1:])
+		m.runq[n] = nil
+		m.runq = m.runq[:n]
 		if !a.killed && a.state == actReady {
 			return a
 		}
@@ -369,18 +376,19 @@ func (m *Mux) switchTo(p *sim.Proc, next *Act, reason trace.SwitchReason) {
 		next.state = actRunning
 		next.preempt = false
 		next.sliceEnd = m.eng.Now() + m.costs.Timeslice
-		m.schedulePreempt(next)
+		m.eng.At(next.sliceEnd, next.expire) // time-slice timer: see sliceExpired
 		next.proc.Wake()
 	}
 }
 
-func (m *Mux) schedulePreempt(a *Act) {
-	end := a.sliceEnd
-	m.eng.At(end, func() {
-		if m.cur == a && a.sliceEnd == end && len(m.runq) > 0 {
-			a.preempt = true
-		}
-	})
+// sliceExpired is an activity's time-slice timer, scheduled at each switch
+// to it. It fires at the slice's end time, so a timer of an earlier slice
+// finds sliceEnd moved on and does nothing; otherwise the activity is marked
+// for preemption if others are ready.
+func (a *Act) sliceExpired() {
+	if m := a.mux; m.cur == a && a.sliceEnd == m.eng.Now() && len(m.runq) > 0 {
+		a.preempt = true
+	}
 }
 
 // ensureRunning parks the calling activity process until it is current.

@@ -61,7 +61,7 @@ func Program(cfg Config) activity.Program {
 			*cfg.Ready = true
 		}
 		sessions := make(map[uint64]*session)
-		a.Serve(rgEp, func(msg *dtu.Message) ([]byte, bool) {
+		a.Serve(rgEp, func(msg dtu.Message) ([]byte, bool) {
 			op, r, err := proto.ParseOp(msg.Data)
 			if err != nil {
 				return proto.Resp(proto.EInvalid), false
