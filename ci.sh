@@ -96,8 +96,9 @@ go run ./cmd/m3vtrace "$TRACE_TMP/fig9.json" | grep -q 'kernel.forward'
 
 echo "== chaos smoke =="
 # Deterministic fault injection gate: two chaos runs with the same seed
-# must print identical trace hashes (see DESIGN.md section 9), and the
-# fault package must report test coverage.
+# must print identical trace hashes (see DESIGN.md section 9), a faulted
+# run must keep its fault schedule and hashes when one unrelated no-op
+# event is added, and the fault package must report test coverage.
 go run ./cmd/m3vsim -rounds 10 -fault-seed 42 -fault-rate 0.05 -trace-hash \
     > "$TRACE_TMP/chaos1.txt"
 go run ./cmd/m3vsim -rounds 10 -fault-seed 42 -fault-rate 0.05 -trace-hash \
@@ -107,6 +108,8 @@ CH2="$(grep 'trace-hash:' "$TRACE_TMP/chaos2.txt")"
 test -n "$CH1"
 test "$CH1" = "$CH2"
 grep -q 'faults:   seed 42' "$TRACE_TMP/chaos1.txt"
+go test -run 'TestScheduleIndependentOfUnrelatedEvents' -count=1 -v ./internal/fault/scenarios/ \
+    | grep -q -- '--- PASS: TestScheduleIndependentOfUnrelatedEvents'
 go test -cover ./internal/fault/... > "$TRACE_TMP/faultcov.txt"
 cat "$TRACE_TMP/faultcov.txt"
 grep -q 'coverage:' "$TRACE_TMP/faultcov.txt"
@@ -157,7 +160,7 @@ if cmp -s "$TRACE_TMP/run-a.json" "$TRACE_TMP/run-c.json"; then
 fi
 "$TRACE_TMP/m3vload" -addr "$M3VD_ADDR" -single -experiment table1 \
     -out "$TRACE_TMP/run-d.json"            # exits non-zero unless 200
-grep -q '"schema": "m3vd/v3"' "$TRACE_TMP/run-d.json"
+grep -q '"schema": "m3vd/v4"' "$TRACE_TMP/run-d.json"
 "$TRACE_TMP/m3vload" -addr "$M3VD_ADDR" -fetch /metrics \
     > "$TRACE_TMP/m3vd-metrics.txt"
 grep -Eq 'serve\.cache_hits [1-9]' "$TRACE_TMP/m3vd-metrics.txt"

@@ -84,80 +84,6 @@ func (t *m3fsTarget) Unlink(path string) error { return t.c.Unlink(path) }
 func (t *m3fsTarget) Mkdir(path string) error  { return t.c.Mkdir(path) }
 func (t *m3fsTarget) Compute(cycles int64)     { t.a.Compute(cycles) }
 
-// linuxTarget replays traces against the Linux model.
-type linuxTarget struct {
-	p   *linuxos.Proc
-	fd  int
-	buf []byte
-}
-
-func newLinuxTarget(p *linuxos.Proc) *linuxTarget {
-	return &linuxTarget{p: p, fd: -1, buf: make([]byte, 8192)}
-}
-
-func (t *linuxTarget) Open(path string) error {
-	fd := t.p.Open(path)
-	if fd < 0 {
-		return fmt.Errorf("open %s failed", path)
-	}
-	t.fd = fd
-	return nil
-}
-
-func (t *linuxTarget) Create(path string) error {
-	t.fd = t.p.Create(path)
-	return nil
-}
-
-func (t *linuxTarget) Read(size int) error {
-	if t.fd < 0 {
-		return fmt.Errorf("no open file")
-	}
-	_, err := t.p.Read(t.fd, t.buf[:size])
-	if err == io.EOF {
-		return nil
-	}
-	return err
-}
-
-func (t *linuxTarget) Write(size int) error {
-	if t.fd < 0 {
-		return fmt.Errorf("no open file")
-	}
-	_, err := t.p.Write(t.fd, t.buf[:size])
-	return err
-}
-
-func (t *linuxTarget) Close() error {
-	if t.fd >= 0 {
-		t.p.Close(t.fd)
-		t.fd = -1
-	}
-	return nil
-}
-
-func (t *linuxTarget) Stat(path string) error {
-	if t.p.Stat(path) < 0 {
-		return fmt.Errorf("stat %s failed", path)
-	}
-	return nil
-}
-
-func (t *linuxTarget) ReadDir(path string) error {
-	t.p.ReadDir(path)
-	return nil
-}
-
-func (t *linuxTarget) Unlink(path string) error { t.p.Unlink(path); return nil }
-
-func (t *linuxTarget) Mkdir(path string) error {
-	fd := t.p.Create(path + "/.dir")
-	t.p.Close(fd)
-	return nil
-}
-
-func (t *linuxTarget) Compute(cycles int64) { t.p.Compute(cycles) }
-
 // --- kvs.FileSys adapters ------------------------------------------------------
 
 // m3fsKV adapts an m3fs client to the key-value store's FileSys.

@@ -39,7 +39,7 @@ type Params struct {
 // run parameters reach a core.Config.
 func (p Params) Apply(cfg *core.Config) {
 	if p.FaultRate > 0 {
-		cfg.Fault = fault.Uniform(p.FaultSeed, p.FaultRate)
+		cfg.Fault = fault.Config{Seed: p.FaultSeed, Rate: p.FaultRate}
 	}
 	if p.SampleInterval > 0 {
 		cfg.Sample = core.SampleConfig{Interval: p.SampleInterval}
@@ -54,7 +54,7 @@ func (p *Params) BindFlags(fs *flag.FlagSet) func() error {
 	fs.Float64Var(&p.FaultRate, "fault-rate", 0, "uniform fault-injection rate in [0,1] applied to every simulated system (0 disables)")
 	every := fs.String("sample-interval", "", "telemetry sampling interval in sim time applied to every simulated system (e.g. 100ns; empty disables)")
 	return func() error {
-		if p.FaultRate < 0 || p.FaultRate > 1 {
+		if !fault.ValidRate(p.FaultRate) {
 			return fmt.Errorf("-fault-rate must be in [0,1], got %g", p.FaultRate)
 		}
 		if *every != "" {

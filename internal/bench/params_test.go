@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"flag"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -78,6 +79,29 @@ func TestSystemsBuiltThroughParams(t *testing.T) {
 	for _, helper := range constructors {
 		if !seen[helper] {
 			t.Errorf("helper %s not found: the guard is out of date", helper)
+		}
+	}
+}
+
+// TestBindFlagsFaultRateRange: -fault-rate accepts exactly [0,1]. NaN fails
+// both bounds comparisons, so it must be rejected explicitly rather than
+// slipping through as a fault-free run.
+func TestBindFlagsFaultRateRange(t *testing.T) {
+	for _, c := range []struct {
+		rate string
+		ok   bool
+	}{
+		{"0", true}, {"0.05", true}, {"1", true},
+		{"-0.1", false}, {"1.5", false}, {"NaN", false}, {"+Inf", false},
+	} {
+		var p Params
+		fs := flag.NewFlagSet("t", flag.ContinueOnError)
+		validate := p.BindFlags(fs)
+		if err := fs.Parse([]string{"-fault-rate", c.rate}); err != nil {
+			t.Fatalf("-fault-rate %s: parse: %v", c.rate, err)
+		}
+		if err := validate(); (err == nil) != c.ok {
+			t.Errorf("-fault-rate %s: validate error = %v, want ok=%v", c.rate, err, c.ok)
 		}
 	}
 }

@@ -37,14 +37,12 @@ type TileSpec struct {
 type Config struct {
 	Name  string
 	Tiles []TileSpec
-	NoC   noc.Config
-	Mem   func(size uint64) mem.Config
 	// BaselineM3x builds the M³x baseline instead of M³v: plain DTUs with
 	// RCTMux on the tiles and remote multiplexing in the controller.
 	BaselineM3x bool
 	// Fault selects deterministic fault injection (see internal/fault).
-	// The zero value — or any config with all rates zero — builds the
-	// perfect platform. It is the only way to arm faults: the experiment
+	// The zero value — or any config with a zero rate — builds the perfect
+	// platform. It is the only way to arm faults: the experiment
 	// harness sets it through bench.Params.Apply.
 	Fault fault.Config
 	// Sample arms sim-time telemetry sampling (see sim.StartSampling). The
@@ -55,9 +53,8 @@ type Config struct {
 // SampleConfig configures the sim-time telemetry sampler.
 type SampleConfig struct {
 	// Interval is the sampling period in sim time; 0 disables sampling.
+	// Each series keeps the last trace.DefaultSampleCap samples.
 	Interval sim.Time
-	// Cap bounds each series' ring buffer (0 = trace.DefaultSampleCap).
-	Cap int
 }
 
 // Enabled reports whether this config arms the sampler.
@@ -89,7 +86,7 @@ func FPGAConfig() Config {
 		TileSpec{Name: "ddr0", Kind: KindMemory, MemSize: 512 << 20},
 		TileSpec{Name: "ddr1", Kind: KindMemory, MemSize: 512 << 20},
 	)
-	return Config{Name: "fpga", Tiles: tiles, NoC: noc.DefaultConfig(), Mem: mem.DefaultConfig}
+	return Config{Name: "fpga", Tiles: tiles}
 }
 
 // Gem5Config mirrors the M³x comparison setup (§6.4): a controller plus n
@@ -102,7 +99,7 @@ func Gem5Config(userTiles int) Config {
 		})
 	}
 	tiles = append(tiles, TileSpec{Name: "dram", Kind: KindMemory, MemSize: 1 << 30})
-	return Config{Name: "gem5", Tiles: tiles, NoC: noc.DefaultConfig(), Mem: mem.DefaultConfig}
+	return Config{Name: "gem5", Tiles: tiles}
 }
 
 // Tile is one built tile.

@@ -70,7 +70,7 @@ func (h *Handle) Code() int32 { return h.code }
 func New(cfg Config) *System {
 	eng := sim.NewEngine()
 	topo := noc.StarMesh{NumTiles: len(cfg.Tiles)}
-	net := noc.New(eng, topo, cfg.NoC)
+	net := noc.New(eng, topo)
 	s := &System{
 		Cfg:         cfg,
 		Eng:         eng,
@@ -87,7 +87,7 @@ func New(cfg Config) *System {
 		t := &Tile{ID: id, Spec: spec}
 		switch spec.Kind {
 		case KindMemory:
-			t.DRAM = mem.New(eng, cfg.Mem(spec.MemSize))
+			t.DRAM = mem.New(eng, mem.DefaultConfig(spec.MemSize))
 			t.DTU = dtu.NewMemory(eng, net, id, t.DRAM)
 		case KindController:
 			t.DTU = dtu.New(eng, net, id, spec.Clock, false)
@@ -166,7 +166,7 @@ func New(cfg Config) *System {
 	// registered, disabled by default (no recurring event, no gauges beyond
 	// the instruments above).
 	if sc := cfg.Sample; sc.Enabled() {
-		eng.StartSampling(sc.Interval, sc.Cap)
+		eng.StartSampling(sc.Interval)
 	}
 
 	s.Kern.OnActExit = func(id uint32, code int32) {

@@ -29,8 +29,9 @@ const (
 )
 
 // cmd is the requester-side record of one blocking command. The issuing
-// process parks until the destination's answer (a *resp) or a terminal NoC
-// drop completes it; it then copies out the result and releases the record.
+// process parks until the destination's answer (a *resp) completes it; it
+// then copies out the result and releases the record. The NoC never loses a
+// packet, so every issued command is answered.
 // For opMsg the packet payload is &c.msg; for every other op it is c itself.
 type cmd struct {
 	d    *DTU
@@ -55,7 +56,6 @@ type cmd struct {
 	done bool
 	err  error
 	send func() // cached c.transmit
-	lost func() // cached c.dropped
 }
 
 // newCmd takes a command record from the pool (or makes one).
@@ -70,7 +70,7 @@ func (d *DTU) newCmd(p *sim.Proc, op cmdOp, dst noc.TileID, size int) *cmd {
 	} else {
 		//m3vlint:ignore noalloc pool miss: the pool grows lazily to the peak number of commands in flight on this DTU
 		c = &cmd{d: d}
-		c.send, c.lost = c.transmit, c.dropped
+		c.send = c.transmit
 	}
 	c.p, c.op, c.dst, c.size = p, op, dst, size
 	return c
@@ -103,10 +103,7 @@ func (c *cmd) issue() error {
 	return c.err
 }
 
-// transmit puts the request on the NoC. Only message and memory requests
-// carry a Drop hook, and only with fault injection armed: a request dropped
-// for good then completes with ErrXferTimeout instead of parking the
-// issuer forever.
+// transmit puts the request on the NoC.
 func (c *cmd) transmit() {
 	d := c.d
 	var np *noc.Packet
@@ -115,9 +112,6 @@ func (c *cmd) transmit() {
 		np.Flow = c.msg.Msg.Flow
 	} else {
 		np = d.net.NewPacket(d.tile, c.dst, c.size, c)
-	}
-	if d.inj.Enabled() && (c.op == opMsg || c.op == opRead || c.op == opWrite) {
-		np.Drop = c.lost
 	}
 	d.net.Send(np)
 }
@@ -128,8 +122,6 @@ func (c *cmd) complete(err error) {
 	c.done = true
 	c.p.Wake()
 }
-
-func (c *cmd) dropped() { c.complete(ErrXferTimeout) }
 
 // respOp selects a resp's deferred action.
 type respOp uint8
@@ -155,7 +147,6 @@ type resp struct {
 	act  ActID      // respArrived
 	ep   EpID       // respCredit
 	fire func()     // cached r.run
-	lost func()     // cached r.dropped
 }
 
 // newResp takes a serving-side record from the pool (or makes one).
@@ -170,7 +161,7 @@ func (d *DTU) newResp(op respOp) *resp {
 	} else {
 		//m3vlint:ignore noalloc pool miss: the pool grows lazily to the peak number of deferred actions on this DTU
 		r = &resp{d: d}
-		r.fire, r.lost = r.run, r.dropped
+		r.fire = r.run
 	}
 	r.op = op
 	return r
@@ -212,14 +203,7 @@ func (r *resp) run() {
 	case respMemWrite:
 		d.mem.WriteAt(r.c.off, r.c.buf)
 	}
-	np := d.net.NewPacket(d.tile, r.to, r.size, r)
-	if d.inj.Enabled() && (r.op == respMemRead || r.op == respMemWrite) {
-		// A memory answer dropped for good fails the command, which the
-		// READ/WRITE wrapper retries. A lost delivery ack has no such hook:
-		// see DESIGN.md §9.
-		np.Drop = r.lost
-	}
-	d.net.Send(np)
+	d.net.Send(d.net.NewPacket(d.tile, r.to, r.size, r))
 }
 
 // arrived completes the requester's command when the answer packet reaches
@@ -228,10 +212,4 @@ func (r *resp) arrived() {
 	c, err := r.c, r.err
 	r.d.releaseResp(r)
 	c.complete(err)
-}
-
-func (r *resp) dropped() {
-	c := r.c
-	r.d.releaseResp(r)
-	c.complete(ErrXferTimeout)
 }

@@ -2,13 +2,9 @@ package dtu
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"testing"
 
-	"m3v/internal/fault"
-	"m3v/internal/mem"
-	"m3v/internal/noc"
 	"m3v/internal/sim"
 )
 
@@ -84,78 +80,6 @@ func TestRoundTripAllocs(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestDroppedMemoryTransferTimesOut: with a finite NoC retry budget, a READ
-// or WRITE whose request or answer the NoC drops for good completes with
-// ErrXferTimeout and is retried like a SEND, instead of parking the issuer
-// forever. At drop rate 1 every attempt is lost and the retry budget runs
-// out; at rate 0.5 some requests and some answers are lost, and every
-// command still returns.
-func TestDroppedMemoryTransferTimesOut(t *testing.T) {
-	for _, rate := range []float64{1, 0.5} {
-		t.Run(fmt.Sprintf("drop=%v", rate), func(t *testing.T) {
-			r := newLossyRig(t, fault.Config{Seed: 3, NoCDrop: rate})
-			must(r.d0.ConfigureLocal(0, MemEP(ActInvalid, 2, 0, 1<<16, PermRW)))
-			const ops = 20
-			returned := 0
-			var okWrites, okReads int
-			r.run(func(p *sim.Proc) {
-				want := []byte("payload")
-				for i := 0; i < ops; i++ {
-					off := uint64(i) * 64
-					err := r.d0.Write(p, 0, off, want, 0)
-					if err == nil {
-						okWrites++
-					} else if !errors.Is(err, ErrXferTimeout) {
-						t.Errorf("write %d: %v, want nil or ErrXferTimeout", i, err)
-					}
-					got, err := r.d0.Read(p, 0, off, len(want), 0)
-					switch {
-					case err == nil:
-						okReads++
-						if okWrites > 0 && len(got) != len(want) {
-							t.Errorf("read %d: %d bytes, want %d", i, len(got), len(want))
-						}
-					case !errors.Is(err, ErrXferTimeout):
-						t.Errorf("read %d: %v, want nil or ErrXferTimeout", i, err)
-					}
-					returned++
-				}
-			})
-			if returned != ops {
-				t.Fatalf("%d of %d READ/WRITE pairs returned; the issuer stayed parked", returned, ops)
-			}
-			if rate == 1 && (okWrites != 0 || okReads != 0) {
-				t.Errorf("at drop rate 1: %d writes and %d reads succeeded, want none", okWrites, okReads)
-			}
-			if rate < 1 && okReads == 0 {
-				t.Error("at drop rate 0.5 no read succeeded")
-			}
-		})
-	}
-}
-
-// newLossyRig is newRig with a NoC that gives up on a packet after one
-// attempt and an injector armed on the network and every DTU.
-func newLossyRig(t *testing.T, cfg fault.Config) *rig {
-	t.Helper()
-	eng := sim.NewEngine()
-	nc := noc.DefaultConfig()
-	nc.MaxRetries = 1
-	net := noc.New(eng, noc.StarMesh{NumTiles: 4}, nc)
-	r := &rig{eng: eng, net: net}
-	r.d0 = New(eng, net, 0, sim.MHz(80), true)
-	r.d1 = New(eng, net, 1, sim.MHz(80), true)
-	r.dram = mem.New(eng, mem.DefaultConfig(1<<20))
-	r.dm = NewMemory(eng, net, 2, r.dram)
-	inj := fault.New(eng, cfg)
-	net.SetInjector(inj)
-	for _, d := range []*DTU{r.d0, r.d1, r.dm} {
-		d.SetInjector(inj)
-	}
-	t.Cleanup(func() { eng.Shutdown() })
-	return r
 }
 
 // TestWriteBufferIsACopy: the DTU copies WRITE data when the command is

@@ -155,11 +155,6 @@ func (d *DTU) reply(p *sim.Proc, ep EpID, slot int, data []byte, vaddr uint64, f
 	}
 	d.m.replies.Inc()
 	err = d.issueMsg(p, req.SndTile, msgPacket{DstEp: req.ReplyEp, Msg: reply, CrdRet: req.CrdEp})
-	if errors.Is(err, ErrXferTimeout) {
-		// The reply never reached the requester: re-occupy the slot so the
-		// retry (or the caller, if the budget runs out) can reissue it.
-		e.occupied |= 1 << uint(slot)
-	}
 	p.Sleep(d.costs.xferTime(len(data)))
 	return err
 }
@@ -296,14 +291,10 @@ func (d *DTU) ack(p *sim.Proc, ep EpID, slot int) error {
 
 // Read executes the READ command: a DMA read of n bytes from offset off of
 // the memory endpoint's region. The local buffer (vaddr) and the region
-// window are both limited to a single page per command. A request or answer
-// the NoC dropped for good is retried like a failed SEND.
+// window are both limited to a single page per command.
 func (d *DTU) Read(p *sim.Proc, ep EpID, off uint64, n int, vaddr uint64) ([]byte, error) {
 	start := d.eng.Now()
 	data, err := d.read(p, ep, off, n, vaddr)
-	for attempt := 0; d.retryTransient(p, err, 0, attempt); attempt++ {
-		data, err = d.read(p, ep, off, n, vaddr)
-	}
 	d.traceCmd(start, trace.CmdRead, ep, n, err)
 	return data, err
 }
@@ -340,13 +331,10 @@ func (d *DTU) read(p *sim.Proc, ep EpID, off uint64, n int, vaddr uint64) ([]byt
 }
 
 // Write executes the WRITE command: a DMA write into the memory endpoint's
-// region. Drops are retried as for Read.
+// region.
 func (d *DTU) Write(p *sim.Proc, ep EpID, off uint64, data []byte, vaddr uint64) error {
 	start := d.eng.Now()
 	err := d.write(p, ep, off, data, vaddr)
-	for attempt := 0; d.retryTransient(p, err, 0, attempt); attempt++ {
-		err = d.write(p, ep, off, data, vaddr)
-	}
 	d.traceCmd(start, trace.CmdWrite, ep, len(data), err)
 	return err
 }

@@ -64,8 +64,6 @@ type DTU struct {
 	// OnMsgArrived fires after any message is stored, with the owning
 	// activity id. The tile layer uses it to wake blocked receivers.
 	OnMsgArrived func(act ActID)
-	// OnCredits fires when credits return to a send endpoint.
-	OnCredits func(ep EpID)
 
 	// rec is the engine's structured event recorder; m holds this DTU's
 	// instruments in the shared metrics registry (always live).
@@ -341,9 +339,6 @@ func (d *DTU) returnCredits(ep EpID) {
 		return
 	}
 	e.Credits++
-	if d.OnCredits != nil {
-		d.OnCredits(ep)
-	}
 }
 
 // pushCoreReq appends to the core-request ring. deliverMsg checked that

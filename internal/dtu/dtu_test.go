@@ -23,7 +23,7 @@ type rig struct {
 func newRig(t *testing.T, virt bool) *rig {
 	t.Helper()
 	eng := sim.NewEngine()
-	net := noc.New(eng, noc.StarMesh{NumTiles: 4}, noc.DefaultConfig())
+	net := noc.New(eng, noc.StarMesh{NumTiles: 4})
 	r := &rig{
 		eng:  eng,
 		net:  net,

@@ -59,7 +59,7 @@ func FuzzDTUCommands(f *testing.F) {
 		run := func() uint64 {
 			eng := sim.NewEngine()
 			defer eng.Shutdown()
-			net := noc.New(eng, noc.StarMesh{NumTiles: 4}, noc.DefaultConfig())
+			net := noc.New(eng, noc.StarMesh{NumTiles: 4})
 			d0 := New(eng, net, 0, sim.MHz(80), false)
 			d1 := New(eng, net, 1, sim.MHz(80), false)
 			dram := mem.New(eng, mem.DefaultConfig(1<<20))
@@ -67,7 +67,7 @@ func FuzzDTUCommands(f *testing.F) {
 
 			if len(data) > 0 {
 				if rate := float64(data[0]&0x07) / 40; rate > 0 {
-					inj := fault.New(eng, fault.Uniform(uint64(data[0]), rate))
+					inj := fault.New(eng, fault.Config{Seed: uint64(data[0]), Rate: rate})
 					net.SetInjector(inj)
 					d0.SetInjector(inj)
 					d1.SetInjector(inj)
@@ -138,7 +138,7 @@ func FuzzDTUCommands(f *testing.F) {
 				}
 			})
 			eng.RunUntil(5 * sim.Second)
-			hash = fnvFold(hash, uint64(net.Delivered())<<32|uint64(net.Nacked())<<8|uint64(net.Dropped()))
+			hash = fnvFold(hash, uint64(net.Delivered())<<32|uint64(net.Nacked())<<8)
 			hash = fnvFold(hash, uint64(eng.Now()))
 			return hash
 		}

@@ -66,10 +66,9 @@ var (
 	ErrNoMessage = errors.New("dtu: no message")
 	// ErrAborted: the command was aborted by a concurrent activity switch.
 	ErrAborted = errors.New("dtu: command aborted")
-	// ErrXferTimeout: the transfer did not complete — the NoC dropped the
-	// packet for good, or a fault was injected into the command. Transient:
-	// the command wrappers retry it with exponential backoff when fault
-	// recovery is armed.
+	// ErrXferTimeout: the transfer did not complete because a fault was
+	// injected into the command. Transient: the SEND/REPLY wrappers retry it
+	// with exponential backoff when fault recovery is armed.
 	ErrXferTimeout = errors.New("dtu: transfer timed out")
 )
 

@@ -39,20 +39,6 @@ func (d *DTU) InsertTLB(p *sim.Proc, act ActID, vaddr, paddr uint64, perm Perm) 
 	}
 }
 
-// InvalidateTLBPage drops one translation (page-table update).
-func (d *DTU) InvalidateTLBPage(p *sim.Proc, act ActID, vaddr uint64) {
-	d.requirePriv()
-	d.charge(p, d.costs.PrivCmd)
-	d.tlb.InvalidatePage(act, vaddr)
-}
-
-// InvalidateTLBAct drops all translations of one activity.
-func (d *DTU) InvalidateTLBAct(p *sim.Proc, act ActID) {
-	d.requirePriv()
-	d.charge(p, d.costs.PrivCmd)
-	d.tlb.InvalidateAct(act)
-}
-
 // FetchCoreReq reads the head of the core-request queue: the activity that
 // received a message while not running, plus the trace flow of the message
 // that raised the request (0 when tracing is disabled). ok is false if the

@@ -4,12 +4,16 @@
 // components ask it whether to drop, delay, or duplicate a packet, fail a
 // command, or stall a wakeup.
 //
-// Every decision is a pure function of (seed, engine event sequence,
-// decision counter): no wall clock, no global rand. Replaying the same
-// seed against the same workload therefore reproduces the identical fault
-// pattern — and, because the recovery machinery is itself deterministic,
-// the identical trace hash. That property is what makes chaos runs
-// replayable and is asserted by the scenario harness in fault/scenarios.
+// Every decision is a pure function of (seed, decision class, the class's
+// own decision counter): no wall clock, no global rand, and no engine
+// state. Replaying the same seed against the same workload therefore
+// reproduces the identical fault pattern — and, because the recovery
+// machinery is itself deterministic, the identical trace hash. Because the
+// schedule never reads the event queue, adding or removing an event that
+// makes no fault query leaves every decision where it was; and because each
+// class counts its own decisions, extra queries of one class leave the
+// others' sequences untouched. The scenario harness in fault/scenarios
+// asserts the replay property.
 //
 // All query methods are safe on a nil *Injector and return "no fault",
 // so components thread an injector field unconditionally; a model with no
@@ -23,89 +27,59 @@ import (
 	"m3v/internal/trace"
 )
 
-// Decision classes, mixed into the hash so the same engine step can answer
-// independent questions (e.g. "delay?" and "duplicate?") differently.
+// Decision classes. Each draws from its own pseudo-random stream.
 const (
-	classNoCDrop uint64 = iota + 1
+	classNoCDrop = iota
 	classNoCDelay
 	classNoCDup
 	classCmdFail
 	classMuxStall
+	numClasses
 )
 
-// Config selects the fault classes to inject and their rates. The zero
-// value disables injection entirely.
+// The fault model's fixed magnitudes.
+const (
+	// delayTime is the extra wire latency of a delayed delivery.
+	delayTime = 500 * sim.Nanosecond
+	// stallTime is how long a stalled wakeup poke is deferred.
+	stallTime = 2 * sim.Microsecond
+	// retryBase is the first retry backoff of a dropped packet or a failed
+	// command; it doubles per attempt, capped at retryBase<<6.
+	retryBase = 200 * sim.Nanosecond
+	// retryMax bounds the retries a command wrapper attempts before giving
+	// up and surfacing the error.
+	retryMax = 12
+)
+
+// Config selects the fault schedule. The zero value disables injection.
 type Config struct {
 	// Seed keys the fault schedule. Two runs with equal seeds and equal
 	// workloads observe identical fault patterns.
 	Seed uint64
-
-	// Per-class injection rates in [0, 1].
-	NoCDrop  float64 // drop a packet at its transmit edge
-	NoCDelay float64 // add extra wire latency to a delivery
-	NoCDup   float64 // transmit a ghost duplicate (filtered at the sink)
-	CmdFail  float64 // fail a DTU send/reply command with ErrXferTimeout
-	MuxStall float64 // defer a TileMux wakeup poke
-
-	// NoCDelayTime is the extra latency added to a delayed delivery
-	// (default 500ns).
-	NoCDelayTime sim.Time
-	// MuxStallTime is how long a stalled wakeup poke is deferred
-	// (default 2µs).
-	MuxStallTime sim.Time
-	// RetryBase is the first retry backoff for transient command
-	// failures; it doubles per attempt, capped at RetryBase<<6
-	// (default 200ns).
-	RetryBase sim.Time
-	// RetryMax bounds the retries a command wrapper attempts before
-	// giving up and surfacing the error (default 12).
-	RetryMax int
+	// Rate is the injection probability in [0, 1] of every fault class:
+	// NoC drops, delays and ghost duplicates, DTU command failures and
+	// TileMux wakeup stalls.
+	Rate float64
 }
 
-// Enabled reports whether any fault class has a nonzero rate.
-func (c Config) Enabled() bool {
-	return c.NoCDrop > 0 || c.NoCDelay > 0 || c.NoCDup > 0 ||
-		c.CmdFail > 0 || c.MuxStall > 0
-}
+// Enabled reports whether the config injects faults.
+func (c Config) Enabled() bool { return c.Rate > 0 }
 
-// Uniform returns a Config injecting every fault class at the same rate.
-// This is what the -fault-seed/-fault-rate CLI flags build.
-func Uniform(seed uint64, rate float64) Config {
-	return Config{
-		Seed:    seed,
-		NoCDrop: rate, NoCDelay: rate, NoCDup: rate,
-		CmdFail: rate, MuxStall: rate,
-	}
-}
-
-func (c Config) withDefaults() Config {
-	if c.NoCDelayTime == 0 {
-		c.NoCDelayTime = 500 * sim.Nanosecond
-	}
-	if c.MuxStallTime == 0 {
-		c.MuxStallTime = 2 * sim.Microsecond
-	}
-	if c.RetryBase == 0 {
-		c.RetryBase = 200 * sim.Nanosecond
-	}
-	if c.RetryMax == 0 {
-		c.RetryMax = 12
-	}
-	return c
-}
+// ValidRate reports whether rate is a probability in [0, 1]. NaN is not.
+func ValidRate(rate float64) bool { return rate >= 0 && rate <= 1 }
 
 // Injector answers fault-injection queries for one engine. It owns the
 // graceful-degradation counters (fault.*) in the engine's metric registry
 // and emits fault.* spans onto traced flows so injected events show up in
 // flow critical-path reports.
 type Injector struct {
-	eng *sim.Engine
-	rec *trace.Recorder
-	cfg Config
+	eng  *sim.Engine
+	rec  *trace.Recorder
+	rate float64
 
-	// decisions counts rolls taken, mixed into each hash so repeated
-	// queries at the same engine step stay independent.
-	decisions uint64
+	// stream[c] is the SplitMix64 state of decision class c: seeded from
+	// (seed, c) and advanced once per decision of that class only.
+	stream [numClasses]uint64
 
 	sends       *trace.Counter // fault.noc_sends: packets entering the NoC
 	drops       *trace.Counter // fault.noc_drops: injected packet drops
@@ -123,10 +97,10 @@ type Injector struct {
 // constructs an injector reports exactly the pre-fault metric set.
 func New(eng *sim.Engine, cfg Config) *Injector {
 	m := eng.Tracer().Metrics()
-	return &Injector{
+	in := &Injector{
 		eng:         eng,
 		rec:         eng.Tracer(),
-		cfg:         cfg.withDefaults(),
+		rate:        cfg.Rate,
 		sends:       m.Counter("fault.noc_sends"),
 		drops:       m.Counter("fault.noc_drops"),
 		delays:      m.Counter("fault.noc_delays"),
@@ -137,6 +111,10 @@ func New(eng *sim.Engine, cfg Config) *Injector {
 		cmdGiveups:  m.Counter("fault.cmd_giveups"),
 		stalls:      m.Counter("fault.mux_stalls"),
 	}
+	for c := range in.stream {
+		in.stream[c] = splitmix64(cfg.Seed ^ uint64(c+1)<<56)
+	}
+	return in
 }
 
 // Enabled reports whether the injector is armed. Nil-safe.
@@ -144,44 +122,43 @@ func New(eng *sim.Engine, cfg Config) *Injector {
 //m3v:noalloc
 func (in *Injector) Enabled() bool { return in != nil }
 
+// golden is the SplitMix64 increment (2^64 / phi, odd).
+const golden = 0x9e3779b97f4a7c15
+
 // splitmix64 is the SplitMix64 finalizer: a bijective avalanche over
-// uint64, strong enough to decorrelate consecutive sequence numbers.
+// uint64, strong enough to decorrelate consecutive stream states.
 //
 //m3v:noalloc
 func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
+	x += golden
 	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
 	x = (x ^ x>>27) * 0x94d049bb133111eb
 	return x ^ x>>31
 }
 
-// roll draws one deterministic decision for the class at the given rate.
+// roll draws the next decision of the class: true with probability rate.
+// It advances that class's stream only.
 //
 //m3v:noalloc
-func (in *Injector) roll(class uint64, rate float64) bool {
-	if rate <= 0 {
+func (in *Injector) roll(class int) bool {
+	if in.rate <= 0 {
 		return false
 	}
-	in.decisions++
-	x := splitmix64(in.cfg.Seed ^ in.eng.Seq()*0x9e3779b97f4a7c15)
-	x = splitmix64(x ^ in.decisions ^ class<<56)
-	return float64(x>>11)*(1.0/(1<<53)) < rate
+	in.stream[class] += golden
+	x := splitmix64(in.stream[class])
+	return float64(x>>11)*(1.0/(1<<53)) < in.rate
 }
 
 // backoff is the exponential retry backoff for the given 0-based attempt,
-// capped at RetryBase<<6.
+// capped at retryBase<<6.
 //
 //m3v:noalloc
-func (in *Injector) backoff(attempt int) sim.Time {
-	shift := attempt
-	if shift > 6 {
-		shift = 6
-	}
-	return in.cfg.RetryBase << uint(shift)
+func backoff(attempt int) sim.Time {
+	return retryBase << uint(min(attempt, 6))
 }
 
 // CountSend accounts one packet entering the NoC, for the conservation
-// checks of the chaos harness (sends == delivered + dropped). Nil-safe.
+// checks of the chaos harness (sends == delivered). Nil-safe.
 //
 //m3v:noalloc
 func (in *Injector) CountSend() {
@@ -195,38 +172,26 @@ func (in *Injector) CountSend() {
 // returns the retransmit backoff to apply and emits a fault.drop span over
 // the backoff window. Nil-safe: returns (0, false) when unarmed.
 func (in *Injector) Drop(flow uint64, tile, attempt int) (sim.Time, bool) {
-	if in == nil || !in.roll(classNoCDrop, in.cfg.NoCDrop) {
+	if in == nil || !in.roll(classNoCDrop) {
 		return 0, false
 	}
 	in.drops.Inc()
-	d := in.backoff(attempt)
+	d := backoff(attempt)
 	now := int64(in.eng.Now())
 	in.rec.EmitSpan(flow, 0, trace.SpanFaultDrop, now, now+int64(d),
 		tile, trace.CompFault, trace.PathNone, int64(attempt), 0)
 	return d, true
 }
 
-// TerminalDrop accounts a packet that is gone for good: its drop (injected
-// or NACK-exhausted) consumed the last retry. The fault.drop span arg1=1
-// marks it terminal. Nil-safe.
-func (in *Injector) TerminalDrop(flow uint64, tile, attempt int) {
-	if in == nil {
-		return
-	}
-	now := int64(in.eng.Now())
-	in.rec.EmitSpan(flow, 0, trace.SpanFaultDrop, now, now,
-		tile, trace.CompFault, trace.PathNone, int64(attempt), 1)
-}
-
 // Delay decides whether to add extra wire latency to the current delivery
 // and returns the penalty (0 when not injecting). Emits a fault.delay span
 // over the penalty window. Nil-safe.
 func (in *Injector) Delay(flow uint64, tile int) sim.Time {
-	if in == nil || !in.roll(classNoCDelay, in.cfg.NoCDelay) {
+	if in == nil || !in.roll(classNoCDelay) {
 		return 0
 	}
 	in.delays.Inc()
-	d := in.cfg.NoCDelayTime
+	d := delayTime
 	now := int64(in.eng.Now())
 	in.rec.EmitSpan(flow, 0, trace.SpanFaultDelay, now, now+int64(d),
 		tile, trace.CompFault, trace.PathNone, int64(d), 0)
@@ -237,7 +202,7 @@ func (in *Injector) Delay(flow uint64, tile int) sim.Time {
 // The caller books the ghost through the normal contention path and
 // discards it at the destination via DiscardGhost. Nil-safe.
 func (in *Injector) Dup(flow uint64, tile int) bool {
-	if in == nil || !in.roll(classNoCDup, in.cfg.NoCDup) {
+	if in == nil || !in.roll(classNoCDup) {
 		return false
 	}
 	in.dups.Inc()
@@ -262,7 +227,7 @@ func (in *Injector) DiscardGhost() {
 // FailCmd decides whether to fail the current DTU command with a transient
 // error. kind is 0 for send, 1 for reply. Nil-safe.
 func (in *Injector) FailCmd(flow uint64, tile, kind int) bool {
-	if in == nil || !in.roll(classCmdFail, in.cfg.CmdFail) {
+	if in == nil || !in.roll(classCmdFail) {
 		return false
 	}
 	in.cmdFails.Inc()
@@ -280,12 +245,12 @@ func (in *Injector) CmdRetry(attempt int) (sim.Time, bool) {
 	if in == nil {
 		return 0, false
 	}
-	if attempt >= in.cfg.RetryMax {
+	if attempt >= retryMax {
 		in.cmdGiveups.Inc()
 		return 0, false
 	}
 	in.cmdRetries.Inc()
-	return in.backoff(attempt), true
+	return backoff(attempt), true
 }
 
 // EmitRetry records the backoff sleep a command wrapper took before
@@ -301,11 +266,11 @@ func (in *Injector) EmitRetry(flow uint64, at, end int64, tile, attempt int) {
 // Stall decides whether to defer a TileMux wakeup poke and returns the
 // stall duration. Emits a fault.stall span over the deferral. Nil-safe.
 func (in *Injector) Stall(flow uint64, tile int) (sim.Time, bool) {
-	if in == nil || !in.roll(classMuxStall, in.cfg.MuxStall) {
+	if in == nil || !in.roll(classMuxStall) {
 		return 0, false
 	}
 	in.stalls.Inc()
-	d := in.cfg.MuxStallTime
+	d := stallTime
 	now := int64(in.eng.Now())
 	in.rec.EmitSpan(flow, 0, trace.SpanFaultStall, now, now+int64(d),
 		tile, trace.CompFault, trace.PathNone, int64(d), 0)

@@ -17,7 +17,7 @@ import (
 func TestSaveRestoreAllocFree(t *testing.T) {
 	eng := sim.NewEngine()
 	defer eng.Shutdown()
-	net := noc.New(eng, noc.StarMesh{NumTiles: 2}, noc.DefaultConfig())
+	net := noc.New(eng, noc.StarMesh{NumTiles: 2})
 	k := kernel.New(eng, dtu.New(eng, net, 0, sim.MHz(100), false), sim.MHz(100))
 	tile := dtu.New(eng, net, 1, sim.MHz(100), false)
 	d := &Driver{k: k, saved: make(map[uint32][]dtu.EpConf)}

@@ -55,7 +55,6 @@ type RCTMux struct {
 	// stopReq is set while the controller waits for the current activity to
 	// reach an operation boundary.
 	stopReq   bool
-	stopDone  func(p *sim.Proc) // invoked (in mux proc context) once stopped
 	stopSlot  int
 	stopValid bool
 

@@ -26,11 +26,6 @@ type Packet struct {
 	// untraced packets and non-message traffic). Model metadata only: it
 	// selects span emission and does not add wire bytes.
 	Flow uint64
-	// Drop, if set, is invoked when the packet is dropped for good (retry
-	// budget exhausted): the sender's chance to time out instead of waiting
-	// forever for an acknowledgement. It runs after the packet has been
-	// recycled and must not reference it.
-	Drop func()
 }
 
 // Handler receives packets delivered to a tile. Deliver reports whether the
@@ -51,30 +46,23 @@ type HandlerFunc func(pkt *Packet) bool
 // Deliver calls f(pkt).
 func (f HandlerFunc) Deliver(pkt *Packet) bool { return f(pkt) }
 
-// Config holds the NoC timing parameters.
-type Config struct {
-	HopLatency   sim.Time // propagation per hop (link + router traversal)
-	BandwidthBps int64    // per-link bandwidth in bytes per second
-	RetryDelay   sim.Time // backoff before retransmitting a NACKed packet
-	MaxRetries   int      // retries before the packet is dropped (0 = infinite)
-}
-
-// DefaultConfig mirrors the FPGA platform: tile-to-tile latency of "dozens
-// of nanoseconds" with a 128-bit 100 MHz NoC link (1.6 GB/s).
-func DefaultConfig() Config {
-	return Config{
-		HopLatency:   15 * sim.Nanosecond,
-		BandwidthBps: 1_600_000_000,
-		RetryDelay:   200 * sim.Nanosecond,
-		MaxRetries:   0,
-	}
-}
+// The NoC timing of the FPGA platform: tile-to-tile latency of "dozens of
+// nanoseconds" with a 128-bit 100 MHz NoC link (1.6 GB/s).
+const (
+	// hopDelay is the propagation per hop (link + router traversal).
+	hopDelay = 15 * sim.Nanosecond
+	// psPerByte is the link serialization time per byte: 1.6 GB/s.
+	psPerByte = int64(sim.Second) / 1_600_000_000
+	// retryDelay is the backoff before retransmitting a NACKed packet. The
+	// network never gives up on a packet (paper §3.8: overruns are absorbed
+	// by flow control), so every NACK is followed by a retransmission.
+	retryDelay = 200 * sim.Nanosecond
+)
 
 // Network is the NoC instance. Construct with New.
 type Network struct {
 	eng      *sim.Engine
 	topo     Topology
-	cfg      Config
 	handlers []Handler // indexed by TileID; grown on Attach
 
 	// Fast-path tables, precomputed in New when the topology reports its
@@ -85,7 +73,6 @@ type Network struct {
 	nTiles    int        // 0 when the topology does not report a tile count
 	latBase   []sim.Time // [src*nTiles+dst] hop latency (no serialization)
 	routerTab []int      // [tile] router, mirrors topo.RouterOf
-	psPerByte int64      // serialization ps/byte when exact, else 0 (slow path)
 
 	// routerFree[r] is the earliest time router r can accept the next
 	// packet; it models serialization contention at the router.
@@ -102,7 +89,6 @@ type Network struct {
 	rec        *trace.Recorder
 	cDelivered *trace.Counter
 	cNacked    *trace.Counter
-	cDropped   *trace.Counter
 	cBytes     *trace.Counter
 	gInflight  *trace.Gauge // packets on the wire (incl. queued retries)
 
@@ -112,17 +98,15 @@ type Network struct {
 }
 
 // New creates a network over the given topology.
-func New(eng *sim.Engine, topo Topology, cfg Config) *Network {
+func New(eng *sim.Engine, topo Topology) *Network {
 	reg := eng.Tracer().Metrics()
 	n := &Network{
 		eng:        eng,
 		topo:       topo,
-		cfg:        cfg,
 		routerFree: make([]sim.Time, topo.Routers()),
 		rec:        eng.Tracer(),
 		cDelivered: reg.Counter("noc.delivered"),
 		cNacked:    reg.Counter("noc.nacked"),
-		cDropped:   reg.Counter("noc.dropped"),
 		cBytes:     reg.Counter("noc.bytes"),
 		gInflight:  reg.Gauge("noc.inflight"),
 	}
@@ -152,15 +136,9 @@ func New(eng *sim.Engine, topo Topology, cfg Config) *Network {
 		for s := 0; s < tiles; s++ {
 			n.routerTab[s] = topo.RouterOf(TileID(s))
 			for d := 0; d < tiles; d++ {
-				n.latBase[s*tiles+d] = sim.Time(topo.Hops(TileID(s), TileID(d))) * cfg.HopLatency
+				n.latBase[s*tiles+d] = sim.Time(topo.Hops(TileID(s), TileID(d))) * hopDelay
 			}
 		}
-	}
-	if bps := cfg.BandwidthBps; bps > 0 && int64(sim.Second)%bps == 0 {
-		// Exact picoseconds per byte (the default 1.6 GB/s link divides
-		// sim.Second evenly): serialization becomes a multiply instead of a
-		// 64-bit division per packet.
-		n.psPerByte = int64(sim.Second) / bps
 	}
 	return n
 }
@@ -170,9 +148,6 @@ func (n *Network) Delivered() int64 { return n.cDelivered.Value() }
 
 // Nacked reports the number of delivery attempts rejected by the destination.
 func (n *Network) Nacked() int64 { return n.cNacked.Value() }
-
-// Dropped reports the number of packets dropped after exhausting retries.
-func (n *Network) Dropped() int64 { return n.cDropped.Value() }
 
 // Bytes reports the total bytes of all delivered packets.
 func (n *Network) Bytes() int64 { return n.cBytes.Value() }
@@ -193,14 +168,8 @@ func (n *Network) SetInjector(in *fault.Injector) { n.inj = in }
 // serialization reports the time to push size bytes onto one link.
 //
 //m3v:noalloc
-func (n *Network) serialization(size int) sim.Time {
-	if n.psPerByte != 0 {
-		return sim.Time(int64(size) * n.psPerByte)
-	}
-	if n.cfg.BandwidthBps <= 0 {
-		return 0
-	}
-	return sim.Time(int64(size) * int64(sim.Second) / n.cfg.BandwidthBps)
+func serialization(size int) sim.Time {
+	return sim.Time(int64(size) * psPerByte)
 }
 
 // hopLatency reports the propagation share of a transfer: hops times the
@@ -212,7 +181,7 @@ func (n *Network) hopLatency(src, dst TileID) sim.Time {
 		return n.latBase[int(src)*n.nTiles+int(dst)]
 	}
 	//m3vlint:ignore noalloc dynamic-topology fallback: the sole Topology impl (StarMesh.Hops) is pure arithmetic
-	return sim.Time(n.topo.Hops(src, dst)) * n.cfg.HopLatency
+	return sim.Time(n.topo.Hops(src, dst)) * hopDelay
 }
 
 // routerOf reports a tile's router, via the precomputed table when available.
@@ -231,7 +200,7 @@ func (n *Network) routerOf(t TileID) int {
 //
 //m3v:noalloc
 func (n *Network) Latency(src, dst TileID, size int) sim.Time {
-	return n.hopLatency(src, dst) + n.serialization(size)
+	return n.hopLatency(src, dst) + serialization(size)
 }
 
 // NewPacket returns a packet from the network's free list (or a fresh one),
@@ -243,15 +212,13 @@ func (n *Network) NewPacket(src, dst TileID, size int, payload interface{}) *Pac
 		n.freePkts = n.freePkts[:len(n.freePkts)-1]
 		pkt.Src, pkt.Dst, pkt.Size, pkt.Payload = src, dst, size, payload
 		pkt.Flow = 0
-		pkt.Drop = nil
 		return pkt
 	}
 	return &Packet{Src: src, Dst: dst, Size: size, Payload: payload}
 }
 
 func (n *Network) releasePkt(pkt *Packet) {
-	pkt.Payload = nil // drop the payload and callback references for GC
-	pkt.Drop = nil
+	pkt.Payload = nil // drop the payload reference for GC
 	n.freePkts = append(n.freePkts, pkt)
 }
 
@@ -292,9 +259,9 @@ func (n *Network) releaseInflight(fl *inflight) {
 
 // Send injects a packet and takes ownership of it. Delivery is scheduled
 // after the path latency plus any router contention; if the destination
-// rejects it, the packet is retransmitted after RetryDelay, up to MaxRetries
-// times. The packet is recycled once delivery completes; callers must not
-// touch it after Send.
+// rejects it, the packet is retransmitted after retryDelay until it is
+// accepted. The packet is recycled once delivery completes; callers must
+// not touch it after Send.
 //
 //m3v:simctx
 func (n *Network) Send(pkt *Packet) {
@@ -307,7 +274,7 @@ func (n *Network) Send(pkt *Packet) {
 		fl.sentAt = n.eng.Now()
 		fl.span = n.rec.BeginSpan(pkt.Flow, 0, trace.SpanNoCXfer,
 			int64(fl.sentAt), int(pkt.Dst), trace.CompNoC)
-		n.eng.After(n.cfg.HopLatency+n.serialization(pkt.Size), fl.fire)
+		n.eng.After(hopDelay+serialization(pkt.Size), fl.fire)
 		return
 	}
 	fl.transmit()
@@ -316,18 +283,14 @@ func (n *Network) Send(pkt *Packet) {
 func (fl *inflight) transmit() {
 	n, pkt := fl.n, fl.pkt
 	// Injected drop: the attempt is lost before reaching the ingress router.
-	// Retransmit after the injector's backoff, charging the retry budget as
-	// if the destination had NACKed.
+	// Retransmit after the injector's backoff, as if the destination had
+	// NACKed.
 	if backoff, drop := n.inj.Drop(pkt.Flow, int(pkt.Dst), fl.attempt); drop {
-		if n.cfg.MaxRetries > 0 && fl.attempt+1 >= n.cfg.MaxRetries {
-			n.terminalDrop(fl)
-			return
-		}
 		fl.attempt++
 		n.eng.After(backoff, fl.retry)
 		return
 	}
-	ser := n.serialization(pkt.Size)
+	ser := serialization(pkt.Size)
 	delay := n.hopLatency(pkt.Src, pkt.Dst) + ser
 	// Router contention: the packet occupies each router on its path for its
 	// serialization time. Model the bottleneck via the ingress router.
@@ -360,22 +323,6 @@ func (fl *inflight) transmit() {
 	n.eng.After(queueing+delay+extra, fl.fire)
 }
 
-// terminalDrop retires a packet whose retry budget is exhausted. The drop is
-// counted, reported to the injector's degradation counters, and the packet's
-// Drop callback (if any) fires so the sender can time out.
-func (n *Network) terminalDrop(fl *inflight) {
-	pkt := fl.pkt
-	n.cDropped.Inc()
-	n.gInflight.Dec()
-	n.inj.TerminalDrop(pkt.Flow, int(pkt.Dst), fl.attempt)
-	drop := pkt.Drop
-	n.releasePkt(pkt)
-	n.releaseInflight(fl)
-	if drop != nil {
-		drop()
-	}
-}
-
 func (fl *inflight) deliver() {
 	n, pkt := fl.n, fl.pkt
 	var h Handler
@@ -406,12 +353,8 @@ func (fl *inflight) deliver() {
 	n.rec.NoCPacket(int64(fl.sentAt), wire, int(pkt.Src), int(pkt.Dst), int64(pkt.Size), false)
 	n.rec.EndSpanArgs(fl.span, int64(now), trace.PathNone, int64(fl.attempt), 0)
 	fl.span = 0
-	if n.cfg.MaxRetries > 0 && fl.attempt+1 >= n.cfg.MaxRetries {
-		n.terminalDrop(fl)
-		return
-	}
 	fl.attempt++
-	n.eng.After(n.cfg.RetryDelay, fl.retry)
+	n.eng.After(retryDelay, fl.retry)
 }
 
 // Topology computes routes between tiles.

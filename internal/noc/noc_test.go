@@ -50,10 +50,7 @@ func TestStarMeshHopsSymmetricProperty(t *testing.T) {
 
 func TestDeliveryLatency(t *testing.T) {
 	eng := sim.NewEngine()
-	n := New(eng, StarMesh{NumTiles: 12}, Config{
-		HopLatency:   15 * sim.Nanosecond,
-		BandwidthBps: 1_600_000_000,
-	})
+	n := New(eng, StarMesh{NumTiles: 12})
 	var deliveredAt sim.Time
 	n.Attach(1, HandlerFunc(func(pkt *Packet) bool {
 		deliveredAt = eng.Now()
@@ -72,7 +69,7 @@ func TestDeliveryLatency(t *testing.T) {
 
 func TestLoopbackDelivery(t *testing.T) {
 	eng := sim.NewEngine()
-	n := New(eng, StarMesh{NumTiles: 12}, DefaultConfig())
+	n := New(eng, StarMesh{NumTiles: 12})
 	got := false
 	n.Attach(3, HandlerFunc(func(pkt *Packet) bool {
 		got = true
@@ -87,8 +84,7 @@ func TestLoopbackDelivery(t *testing.T) {
 
 func TestNackRetry(t *testing.T) {
 	eng := sim.NewEngine()
-	cfg := DefaultConfig()
-	n := New(eng, StarMesh{NumTiles: 12}, cfg)
+	n := New(eng, StarMesh{NumTiles: 12})
 	rejections := 2
 	attempts := 0
 	n.Attach(2, HandlerFunc(func(pkt *Packet) bool {
@@ -109,32 +105,9 @@ func TestNackRetry(t *testing.T) {
 	}
 }
 
-func TestDropAfterMaxRetries(t *testing.T) {
-	eng := sim.NewEngine()
-	cfg := DefaultConfig()
-	cfg.MaxRetries = 3
-	n := New(eng, StarMesh{NumTiles: 12}, cfg)
-	attempts := 0
-	n.Attach(2, HandlerFunc(func(pkt *Packet) bool {
-		attempts++
-		return false
-	}))
-	n.Send(&Packet{Src: 0, Dst: 2, Size: 64})
-	eng.Run()
-	if attempts != 3 {
-		t.Errorf("attempts = %d, want 3", attempts)
-	}
-	if n.Dropped() != 1 {
-		t.Errorf("dropped = %d, want 1", n.Dropped())
-	}
-}
-
 func TestRouterContentionSerializes(t *testing.T) {
 	eng := sim.NewEngine()
-	n := New(eng, StarMesh{NumTiles: 12}, Config{
-		HopLatency:   15 * sim.Nanosecond,
-		BandwidthBps: 1_600_000_000,
-	})
+	n := New(eng, StarMesh{NumTiles: 12})
 	var arrivals []sim.Time
 	n.Attach(1, HandlerFunc(func(pkt *Packet) bool {
 		arrivals = append(arrivals, eng.Now())
@@ -155,7 +128,7 @@ func TestRouterContentionSerializes(t *testing.T) {
 
 func TestMissingHandlerPanics(t *testing.T) {
 	eng := sim.NewEngine()
-	n := New(eng, StarMesh{NumTiles: 12}, DefaultConfig())
+	n := New(eng, StarMesh{NumTiles: 12})
 	n.Send(&Packet{Src: 0, Dst: 7, Size: 8})
 	defer func() {
 		if recover() == nil {
@@ -174,10 +147,7 @@ func TestNoCPacketStampedAtTransmit(t *testing.T) {
 	eng := sim.NewEngine()
 	rec := eng.Tracer()
 	rec.Enable()
-	n := New(eng, StarMesh{NumTiles: 12}, Config{
-		HopLatency:   15 * sim.Nanosecond,
-		BandwidthBps: 1_600_000_000,
-	})
+	n := New(eng, StarMesh{NumTiles: 12})
 	n.Attach(1, HandlerFunc(func(pkt *Packet) bool { return true }))
 	// Tiles 0 and 4 share ingress router 0: both transmit at t=0, the
 	// second queues behind the first's serialization time (100ns for 160
@@ -216,39 +186,29 @@ type dynamicTopo struct{ StarMesh }
 func (dynamicTopo) Tiles() int { return 0 }
 
 // TestFastPathTablesMatchDynamic pins the precomputed latency/router tables
-// and the multiply-based serialization against the original interface-call
-// arithmetic, over every (src, dst) pair and a spread of sizes — including a
-// bandwidth that does not divide sim.Second evenly, which must fall back to
-// the division path.
+// against the interface-call arithmetic of the dynamic-topology path, over
+// every (src, dst) pair and a spread of sizes.
 func TestFastPathTablesMatchDynamic(t *testing.T) {
 	eng := sim.NewEngine()
-	configs := []Config{
-		DefaultConfig(), // 1.6 GB/s divides sim.Second: multiply fast path
-		{HopLatency: 15 * sim.Nanosecond, BandwidthBps: 3_000_000_007}, // prime: division path
-		{HopLatency: 7 * sim.Nanosecond},                               // zero bandwidth: no serialization
+	topo := StarMesh{NumTiles: 12}
+	fast := New(eng, topo)
+	slow := New(eng, dynamicTopo{topo})
+	if fast.latBase == nil || fast.routerTab == nil {
+		t.Fatal("tables not built for a sized topology")
 	}
-	for _, cfg := range configs {
-		topo := StarMesh{NumTiles: 12}
-		fast := New(eng, topo, cfg)
-		slow := New(eng, dynamicTopo{topo}, cfg)
-		if fast.latBase == nil || fast.routerTab == nil {
-			t.Fatalf("cfg %+v: tables not built for a sized topology", cfg)
+	if slow.latBase != nil || slow.routerTab != nil {
+		t.Fatal("tables built without a tile count")
+	}
+	for src := 0; src < topo.NumTiles; src++ {
+		if got, want := fast.routerOf(TileID(src)), slow.routerOf(TileID(src)); got != want {
+			t.Errorf("routerOf(%d) = %d, want %d", src, got, want)
 		}
-		if slow.latBase != nil || slow.routerTab != nil {
-			t.Fatalf("cfg %+v: tables built without a tile count", cfg)
-		}
-		for src := 0; src < topo.NumTiles; src++ {
-			if got, want := fast.routerOf(TileID(src)), topo.RouterOf(TileID(src)); got != want {
-				t.Errorf("routerOf(%d) = %d, want %d", src, got, want)
-			}
-			for dst := 0; dst < topo.NumTiles; dst++ {
-				for _, size := range []int{0, 1, 64, 113, 4096} {
-					got := fast.Latency(TileID(src), TileID(dst), size)
-					want := slow.Latency(TileID(src), TileID(dst), size)
-					if got != want {
-						t.Errorf("cfg %+v: Latency(%d,%d,%d) = %v, want %v",
-							cfg, src, dst, size, got, want)
-					}
+		for dst := 0; dst < topo.NumTiles; dst++ {
+			for _, size := range []int{0, 1, 64, 113, 4096} {
+				got := fast.Latency(TileID(src), TileID(dst), size)
+				want := slow.Latency(TileID(src), TileID(dst), size)
+				if got != want {
+					t.Errorf("Latency(%d,%d,%d) = %v, want %v", src, dst, size, got, want)
 				}
 			}
 		}

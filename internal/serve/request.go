@@ -15,10 +15,11 @@ import (
 	"fmt"
 
 	"m3v/internal/bench"
+	"m3v/internal/fault"
 	"m3v/internal/sim"
 )
 
-// Request is the canonical simulation request (schema m3vd/v3). The JSON
+// Request is the canonical simulation request (schema m3vd/v4). The JSON
 // body of POST /run decodes into it; Canonicalize validates it and fills
 // defaults so equivalent requests collapse onto one digest.
 type Request struct {
@@ -55,7 +56,7 @@ func Canonicalize(r Request, lookup func(string) (bench.Experiment, bool)) (Requ
 	if r.Tiles == 0 {
 		r.Tiles = 1
 	}
-	if r.FaultRate < 0 || r.FaultRate > 1 {
+	if !fault.ValidRate(r.FaultRate) {
 		return r, p, fmt.Errorf("fault_rate %g out of range [0,1]", r.FaultRate)
 	}
 	if r.FaultRate == 0 {

@@ -8,7 +8,7 @@ import (
 
 // ResponseSchema versions the POST /run response body and, as the prefix of
 // Request.Digest's encoding, the request digest.
-const ResponseSchema = "m3vd/v3"
+const ResponseSchema = "m3vd/v4"
 
 // Response is the POST /run reply: the canonical request echoed back, its
 // digest, and the experiment result in m3vbench row shape. It carries no

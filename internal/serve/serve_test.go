@@ -3,9 +3,12 @@ package serve
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -147,9 +150,9 @@ func TestCanonicalizeDigest(t *testing.T) {
 	if params.Tiles != 1 {
 		t.Errorf("params = %+v", params)
 	}
-	// sha256("m3vd/v3|fake|1|0|0x0p+00|"): a change here orphans every
+	// sha256("m3vd/v4|fake|1|0|0x0p+00|"): a change here orphans every
 	// cached digest, so it must come with a ResponseSchema bump.
-	if got, want := canon.Digest(), "9561de8a34bac3e67d6b84e787ddd7314f062bc839ba569b6d0f6f06e6a1ce8c"; got != want {
+	if got, want := canon.Digest(), "681afd2c2eb4a1327724c11173482f15ada6b089f79340588f72d00d61f24117"; got != want {
 		t.Errorf("canonical digest = %s, want %s", got, want)
 	}
 
@@ -190,6 +193,7 @@ func TestCanonicalizeDigest(t *testing.T) {
 		{Experiment: "fake", Tiles: -1},
 		{Experiment: "fake", Tiles: maxTiles + 1},
 		{Experiment: "fake", FaultRate: 1.5},
+		{Experiment: "fake", FaultRate: math.NaN()},
 		{Experiment: "fake", SampleInterval: "later"},
 	} {
 		if _, _, err := Canonicalize(bad, lookup); err == nil {
@@ -619,7 +623,7 @@ func TestEndToEndFig6(t *testing.T) {
 	if err := json.Unmarshal([]byte(body1), &resp); err != nil {
 		t.Fatalf("fig6 response not JSON: %v", err)
 	}
-	if resp.Schema != "m3vd/v3" || resp.Result.ID != "fig6" ||
+	if resp.Schema != "m3vd/v4" || resp.Result.ID != "fig6" ||
 		len(resp.Result.Rows) != 6 || len(resp.Result.Notes) != 1 {
 		t.Errorf("fig6 result = %+v", resp.Result)
 	}
@@ -627,6 +631,21 @@ func TestEndToEndFig6(t *testing.T) {
 		if row.Value <= 0 {
 			t.Errorf("fig6 row %q = %g, want > 0", row.Label, row.Value)
 		}
+	}
+}
+
+// TestFaultedFig6BodyPinned pins the body bytes of one fault-injected fig6
+// request. The fault schedule shapes them, so a schedule change fails here
+// and must come with a ResponseSchema bump and a re-pin.
+func TestFaultedFig6BodyPinned(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	st, _, body := post(t, ts.URL, Request{Experiment: "fig6", FaultSeed: 42, FaultRate: 0.05})
+	if st != 200 {
+		t.Fatalf("status = %d\n%s", st, body)
+	}
+	sum := sha256.Sum256([]byte(body))
+	if got, want := hex.EncodeToString(sum[:]), "dbfe470d0408cb05e8228937b6b666807a63ad892b055982e92913f24abd199e"; got != want {
+		t.Errorf("faulted fig6 body digest = %s, want %s\n%s", got, want, body)
 	}
 }
 

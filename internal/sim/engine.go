@@ -183,7 +183,6 @@ type Engine struct {
 	running   bool
 	limit     Time  // bound of the active dispatch loop (MaxTime for Run)
 	inlined   int64 // events consumed by the Sleep fast path since last flush
-	tracer    func(Time, string)
 
 	rec    *trace.Recorder
 	evExec *trace.Counter
@@ -207,28 +206,10 @@ func NewEngine() *Engine {
 // Now reports the current simulated time.
 func (e *Engine) Now() Time { return e.now }
 
-// Seq reports the number of events scheduled so far. It advances on every
-// At/After call, which makes it a deterministic, replayable progress marker:
-// fault schedules key their pseudo-random decisions off (seed, Seq) so the
-// same seed always replays the same fault pattern.
-//
-//m3v:noalloc
-func (e *Engine) Seq() uint64 { return e.seq }
-
 // Tracer returns the engine's structured event recorder (never nil). All
 // components built on this engine share it: the recorder's metrics registry
 // is always live, while the event stream is off until Tracer().Enable().
 func (e *Engine) Tracer() *trace.Recorder { return e.rec }
-
-// SetTracer installs a debug tracer invoked for engine-level events. A nil
-// tracer disables tracing.
-func (e *Engine) SetTracer(fn func(Time, string)) { e.tracer = fn }
-
-func (e *Engine) trace(format string, args ...interface{}) {
-	if e.tracer != nil {
-		e.tracer(e.now, fmt.Sprintf(format, args...))
-	}
-}
 
 // At schedules fn to run at absolute time t. Scheduling in the past panics:
 // it would violate causality. Steady-state scheduling is allocation-free:
@@ -393,9 +374,9 @@ func (e *Engine) popSelf(seq uint64) bool {
 // StartSampling arms sim-time telemetry: a trace.Sampler over the engine's
 // metrics registry, driven by a recurring event every `every` (first tick at
 // now+every). Each tick runs the registry's probes, snapshots all gauges and
-// counter deltas into ring-buffered series (capSamples per series, 0 for the
-// default), and reschedules itself. The engine also registers its own probe
-// publishing sim.procs_ready / sim.procs_parked / sim.events_pending /
+// counter deltas into ring-buffered series (trace.DefaultSampleCap samples
+// per series), and reschedules itself. The engine also registers its own
+// probe publishing sim.procs_ready / sim.procs_parked / sim.events_pending /
 // sim.wheel_slots, so scheduler pressure shows up in the timelines.
 //
 // When sampling is off nothing here runs — no event is scheduled and the
@@ -403,12 +384,11 @@ func (e *Engine) popSelf(seq uint64) bool {
 //
 // The recurring tick keeps the queue non-empty: bound the run with RunUntil
 // (or Stop), as Engine.Run would spin on sampler ticks forever. Sampling
-// does not emit trace events or spans, but each tick consumes sequence
-// numbers, which shifts seeded fault schedules (see fault injection); event
-// streams of fault-free runs are unaffected.
+// emits no trace events or spans and makes no fault decisions, so it moves
+// neither the event stream nor a seeded fault schedule.
 //
 // Calling StartSampling again returns the existing sampler unchanged.
-func (e *Engine) StartSampling(every Time, capSamples int) *trace.Sampler {
+func (e *Engine) StartSampling(every Time) *trace.Sampler {
 	if every <= 0 {
 		panic("sim: StartSampling interval must be positive")
 	}
@@ -432,7 +412,7 @@ func (e *Engine) StartSampling(every Time, capSamples int) *trace.Sampler {
 		gPending.Set(int64(e.Pending()))
 		gSlots.Set(int64(e.wq.occupiedSlots()))
 	})
-	s := trace.NewSampler(m, int64(every), capSamples)
+	s := trace.NewSampler(m, int64(every), trace.DefaultSampleCap)
 	e.sampler = s
 	e.rec.SetSampler(s)
 	e.sampleEvery = every

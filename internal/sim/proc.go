@@ -193,14 +193,6 @@ func (p *Proc) completeWake() {
 	p.e.resume(p)
 }
 
-// ClearInterrupt discards a pending interrupt flag, if any, and reports
-// whether one was pending.
-func (p *Proc) ClearInterrupt() bool {
-	was := p.interrupted
-	p.interrupted = false
-	return was
-}
-
 // Done reports whether the process function has returned.
 func (p *Proc) Done() bool { return p.done }
 

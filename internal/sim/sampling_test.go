@@ -12,11 +12,11 @@ func TestEngineSampling(t *testing.T) {
 	busy := 0
 	e.At(50*Nanosecond, func() { busy++ })
 	e.At(950*Nanosecond, func() { busy++ })
-	s := e.StartSampling(100*Nanosecond, 0)
+	s := e.StartSampling(100 * Nanosecond)
 	if s == nil {
 		t.Fatal("StartSampling returned nil")
 	}
-	if again := e.StartSampling(100*Nanosecond, 0); again != s {
+	if again := e.StartSampling(100 * Nanosecond); again != s {
 		t.Fatal("second StartSampling did not return the armed sampler")
 	}
 	if e.Tracer().Sampler() != s {
@@ -72,7 +72,7 @@ func TestStartSamplingRejectsBadInterval(t *testing.T) {
 			t.Fatal("StartSampling(0) did not panic")
 		}
 	}()
-	NewEngine().StartSampling(0, 0)
+	NewEngine().StartSampling(0)
 }
 
 // TestNoSamplerZeroCost: without StartSampling no sampler exists, no probe

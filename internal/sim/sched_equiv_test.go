@@ -15,7 +15,7 @@ type dispatchRec struct {
 // dispatch calls, implemented by both *Engine and refQueue.
 type queue interface {
 	Now() Time
-	Seq() uint64
+	lastSeq() uint64
 	After(d Time, fn func())
 	RunUntil(limit Time) Time
 	Run() Time
@@ -37,8 +37,11 @@ type refEvent struct {
 	fn  func()
 }
 
-func (r *refQueue) Now() Time   { return r.now }
-func (r *refQueue) Seq() uint64 { return r.seq }
+func (r *refQueue) Now() Time       { return r.now }
+func (r *refQueue) lastSeq() uint64 { return r.seq }
+
+// lastSeq reports the sequence number of the most recently scheduled event.
+func (e *Engine) lastSeq() uint64 { return e.seq }
 
 func (r *refQueue) After(d Time, fn func()) {
 	r.seq++
@@ -83,7 +86,7 @@ func driveSchedule(q queue, data []byte) []dispatchRec {
 	var out []dispatchRec
 	var schedule func(d Time, follow byte)
 	schedule = func(d Time, follow byte) {
-		seq := q.Seq() + 1 // After assigns the next sequence number
+		seq := q.lastSeq() + 1 // After assigns the next sequence number
 		q.After(d, func() {
 			out = append(out, dispatchRec{q.Now(), seq})
 			if follow&0x01 != 0 {

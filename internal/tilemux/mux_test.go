@@ -34,7 +34,7 @@ const (
 func newMuxRig(t *testing.T) *muxRig {
 	t.Helper()
 	eng := sim.NewEngine()
-	net := noc.New(eng, noc.StarMesh{NumTiles: 4}, noc.DefaultConfig())
+	net := noc.New(eng, noc.StarMesh{NumTiles: 4})
 	r := &muxRig{
 		eng: eng,
 		net: net,

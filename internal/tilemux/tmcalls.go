@@ -228,9 +228,3 @@ func (a *Act) TakeExternal() bool {
 	a.ext--
 	return true
 }
-
-// HasReady reports whether other activities are ready to run. Activities
-// read this through shared memory to decide between polling and blocking
-// (paper §3.7: "TileMux tells the current activity via shared memory whether
-// other activities are ready").
-func (m *Mux) HasReady() bool { return len(m.runq) > 0 }

@@ -71,8 +71,7 @@ const (
 	// Arg0 = tile, Arg1 = target activity (global id).
 	SpanKernSwitch
 	// SpanFaultDrop covers an injected NoC packet drop and the retransmit
-	// backoff it forced: [drop, retransmit). Arg0 = attempt number,
-	// Arg1 = 1 if the drop was terminal (retry budget exhausted).
+	// backoff it forced: [drop, retransmit). Arg0 = attempt number.
 	SpanFaultDrop
 	// SpanFaultDelay is an injected NoC latency penalty; the interval is
 	// the extra wire time added. Arg0 = extra picoseconds.
@@ -121,10 +120,6 @@ func (s SpanName) String() string {
 	}
 	return "?"
 }
-
-// NumSpanNames reports the number of defined span names (including the
-// SpanNone sentinel).
-func NumSpanNames() int { return int(numSpanNames) }
 
 // Path is a span's fast/slow-path attribution. A flow's verdict is the
 // strongest mark of any of its spans: PathSlow wins over PathFast, because
