@@ -175,8 +175,21 @@ trap 'rm -rf "$TRACE_TMP"' EXIT
 echo "== bench json =="
 # Record the perf trajectory: wall clock per experiment plus the
 # serial-vs-parallel comparison, which also gates on byte-identical tables.
+# The record goes to a scratch file, so a run never rewrites the committed
+# BENCH_m3vbench.json with this host's wall times. The simulated work must
+# match the committed record: fig9's events_executed line is compared
+# verbatim.
 go run ./cmd/m3vbench -run fig9 -fig9-tiles 1,2 -compare-serial \
-    -bench-json BENCH_m3vbench.json
+    -bench-json "$TRACE_TMP/bench.json"
+EV_RUN="$(grep '"events_executed"' "$TRACE_TMP/bench.json")"
+EV_REC="$(grep '"events_executed"' BENCH_m3vbench.json)"
+test -n "$EV_RUN"
+if [ "$EV_RUN" != "$EV_REC" ]; then
+    echo "fig9 events_executed differs from BENCH_m3vbench.json:"
+    echo "  run:       $EV_RUN"
+    echo "  committed: $EV_REC"
+    exit 1
+fi
 
 if [ -n "${FUZZTIME:-}" ]; then
     echo "== fuzzing (${FUZZTIME}) =="

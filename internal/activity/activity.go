@@ -167,7 +167,7 @@ func (a *Activity) SendBounded(ep dtu.EpID, data []byte, vaddr uint64, replyEp d
 			// Wait for the receiver to drain; credits return asynchronously.
 			a.X.Yield()
 			a.X.BeginOp()
-			a.Proc().Sleep(sim.Microsecond)
+			a.Proc().Sleep(dtu.PollInterval)
 			a.X.EndOp()
 		case errors.Is(err, dtu.ErrNoRecipient) && a.SlowSend != nil:
 			return a.SlowSend(a, args)

@@ -87,7 +87,7 @@ func New(cfg Config) *System {
 		t := &Tile{ID: id, Spec: spec}
 		switch spec.Kind {
 		case KindMemory:
-			t.DRAM = mem.New(eng, mem.DefaultConfig(spec.MemSize))
+			t.DRAM = mem.New(eng, spec.MemSize)
 			t.DTU = dtu.NewMemory(eng, net, id, t.DRAM)
 		case KindController:
 			t.DTU = dtu.New(eng, net, id, spec.Clock, false)

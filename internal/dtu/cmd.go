@@ -96,7 +96,7 @@ func (d *DTU) releaseCmd(c *cmd) {
 // issue schedules the request packet after the DTU's processing delay and
 // parks the issuer until the command completes. The caller releases c.
 func (c *cmd) issue() error {
-	c.d.eng.After(c.d.costs.Proc, c.send)
+	c.d.eng.After(procTime, c.send)
 	for !c.done {
 		c.p.Park()
 	}

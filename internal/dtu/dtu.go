@@ -36,7 +36,9 @@ type DTU struct {
 	coreClock sim.Clock
 	virt      bool
 	mem       *mem.Memory // non-nil on memory tiles
-	costs     Costs
+	// mediation is extra core cycles charged on every unprivileged command
+	// (SetMediation); zero except in the TileMux-mediation ablation.
+	mediation int64
 
 	eps     [NumEPs]Endpoint
 	tlb     *TLB
@@ -121,7 +123,6 @@ func New(eng *sim.Engine, net *noc.Network, tile noc.TileID, coreClock sim.Clock
 		tile:      tile,
 		coreClock: coreClock,
 		virt:      virt,
-		costs:     DefaultCosts(),
 		curAct:    ActInvalid,
 		rec:       eng.Tracer(),
 		m:         newDTUMetrics(eng.Tracer().Metrics(), tile),
@@ -164,8 +165,12 @@ func (d *DTU) SetInjector(in *fault.Injector) { d.inj = in }
 // Virtualized reports whether this DTU carries the privileged interface.
 func (d *DTU) Virtualized() bool { return d.virt }
 
-// Costs returns the timing model (the benches tweak it for ablations).
-func (d *DTU) Costs() *Costs { return &d.costs }
+// SetMediation charges n extra core cycles on every unprivileged command
+// (SEND, REPLY, FETCH, ACK, READ, WRITE), never on the privileged
+// interface. It models the paper's first design iteration (§3.5), in which
+// TileMux mediated every vDTU access: the trap, argument copy and software
+// endpoint check of that path. Only the design ablation sets it.
+func (d *DTU) SetMediation(n int64) { d.mediation = n }
 
 // TLB exposes the software-loaded TLB (nil on non-virtualized DTUs).
 func (d *DTU) TLB() *TLB { return d.tlb }
@@ -182,12 +187,10 @@ func (d *DTU) Ep(ep EpID) Endpoint {
 	return d.eps[ep]
 }
 
-// charge blocks the calling process for n core cycles, modelling MMIO
-// register traffic.
+// charge blocks the calling process for an unprivileged command of n core
+// cycles plus the mediation charge, modelling MMIO register traffic.
 func (d *DTU) charge(p *sim.Proc, n int64) {
-	if n > 0 {
-		p.Sleep(d.coreClock.Cycles(n))
-	}
+	p.Sleep(d.coreClock.Cycles(n + d.mediation))
 }
 
 // epFor validates that endpoint ep exists, has the wanted kind, and is owned
@@ -285,7 +288,7 @@ func (d *DTU) deliverMsg(pkt *noc.Packet, pl *msgPacket) bool {
 	if notPresent {
 		d.rec.EmitSpan(pl.Msg.Flow, 0, trace.SpanDTUDeliver, now, now, int(d.tile),
 			trace.CompDTU, trace.PathNone, int64(pl.DstEp), deliverNoRecipient)
-		d.answer(d.costs.Proc, respAnswer, src, headerBytes, pl.cmd, ErrNoRecipient)
+		d.answer(procTime, respAnswer, src, headerBytes, pl.cmd, ErrNoRecipient)
 		return true // consumed; the error travels back explicitly
 	}
 	slot := e.freeSlot()
@@ -324,9 +327,9 @@ func (d *DTU) deliverMsg(pkt *noc.Packet, pl *msgPacket) bool {
 	if d.OnMsgArrived != nil {
 		r := d.newResp(respArrived)
 		r.act = e.Act
-		d.eng.After(d.costs.Proc, r.fire)
+		d.eng.After(procTime, r.fire)
 	}
-	d.answer(d.costs.Proc, respAnswer, src, headerBytes, pl.cmd, nil)
+	d.answer(procTime, respAnswer, src, headerBytes, pl.cmd, nil)
 	return true
 }
 
@@ -365,7 +368,7 @@ func (d *DTU) injectIrq() {
 	if d.OnCoreReq == nil {
 		return
 	}
-	d.eng.After(d.costs.IrqLatency, d.irq)
+	d.eng.After(irqLatency, d.irq)
 }
 
 // raiseIrq is the interrupt line firing: it fires only while requests are
@@ -392,10 +395,10 @@ func (d *DTU) serve(src noc.TileID, c *cmd) {
 		d.answer(d.mem.AccessDelay(len(c.buf)), respMemWrite, src, headerBytes, c, nil)
 	case opConfig:
 		err := d.ConfigureLocal(c.ep, c.conf)
-		d.answer(d.costs.Proc, respAnswer, src, headerBytes, c, err)
+		d.answer(procTime, respAnswer, src, headerBytes, c, err)
 	case opInvalidate:
 		err := d.InvalidateLocal(c.ep)
-		d.answer(d.costs.Proc, respAnswer, src, headerBytes, c, err)
+		d.answer(procTime, respAnswer, src, headerBytes, c, err)
 	case opReadEps:
 		d.serveReadEps(src, c)
 	case opWriteEps:
@@ -404,7 +407,7 @@ func (d *DTU) serve(src noc.TileID, c *cmd) {
 				panic(fmt.Sprintf("dtu: bulk EP write failed: %v", err))
 			}
 		}
-		d.answer(d.costs.Proc, respAnswer, src, headerBytes, c, nil)
+		d.answer(procTime, respAnswer, src, headerBytes, c, nil)
 	default:
 		panic(fmt.Sprintf("dtu: tile %d received unknown command %d", d.tile, c.op))
 	}

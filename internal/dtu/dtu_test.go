@@ -29,7 +29,7 @@ func newRig(t *testing.T, virt bool) *rig {
 		net:  net,
 		d0:   New(eng, net, 0, sim.MHz(80), virt),
 		d1:   New(eng, net, 1, sim.MHz(80), virt),
-		dram: mem.New(eng, mem.DefaultConfig(1<<20)),
+		dram: mem.New(eng, 1<<20),
 	}
 	r.dm = NewMemory(eng, net, 2, r.dram)
 	t.Cleanup(func() { eng.Shutdown() })
@@ -485,3 +485,73 @@ func TestFetchEmptyReturnsNoMessage(t *testing.T) {
 }
 
 func nil2(f func(p *sim.Proc)) func(p *sim.Proc) { return f }
+
+// commandTimes runs one of each unprivileged command, plus two privileged
+// accesses, from a single process with both vDTUs charging the given
+// mediation, and returns each command's duration.
+func commandTimes(t *testing.T, mediation int64) map[string]sim.Time {
+	t.Helper()
+	r := newRig(t, true)
+	setupChannel(r, actB, 4)
+	must(r.d0.ConfigureLocal(8, MemEP(actA, 2, 0x1000, 0x2000, PermRW)))
+	r.d0.SetMediation(mediation)
+	r.d1.SetMediation(mediation)
+	got := make(map[string]sim.Time)
+	r.run(func(p *sim.Proc) {
+		timed := func(name string, cmd func() error) {
+			start := p.Now()
+			if err := cmd(); err != nil {
+				t.Errorf("%s: %v", name, err)
+			}
+			got[name] = p.Now() - start
+		}
+		var slot int
+		timed("SEND", func() error {
+			return r.d0.Send(p, SendArgs{Ep: 10, Data: []byte("ping"), ReplyEp: 11})
+		})
+		timed("FETCH", func() (err error) {
+			slot, _, err = r.d1.Fetch(p, 20)
+			return err
+		})
+		timed("REPLY", func() error { return r.d1.Reply(p, 20, slot, []byte("pong"), 0) })
+		slot, _, err := r.d0.Fetch(p, 11)
+		if err != nil {
+			t.Fatalf("fetch reply: %v", err)
+		}
+		timed("ACK", func() error { return r.d0.Ack(p, 11, slot) })
+		timed("WRITE", func() error { return r.d0.Write(p, 8, 0, []byte("data"), 0) })
+		timed("READ", func() error {
+			_, err := r.d0.Read(p, 8, 0, 4, 0)
+			return err
+		})
+		timed("SWITCH_ACT", func() error {
+			r.d0.SwitchAct(p, actA, 0)
+			return nil
+		})
+		timed("INSERT_TLB", func() error {
+			r.d0.InsertTLB(p, actA, 0x5000, 0x84000, PermRW)
+			return nil
+		})
+	})
+	return got
+}
+
+// TestMediationChargesUnprivilegedCommands pins where SetMediation applies:
+// every unprivileged command takes exactly the extra cycles longer, and the
+// privileged interface is never charged.
+func TestMediationChargesUnprivilegedCommands(t *testing.T) {
+	const n = 1000
+	base := commandTimes(t, 0)
+	mediated := commandTimes(t, n)
+	extra := sim.MHz(80).Cycles(n)
+	for _, c := range []string{"SEND", "REPLY", "FETCH", "ACK", "READ", "WRITE"} {
+		if d := mediated[c] - base[c]; d != extra {
+			t.Errorf("%s: mediation added %v, want %v", c, d, extra)
+		}
+	}
+	for _, c := range []string{"SWITCH_ACT", "INSERT_TLB"} {
+		if mediated[c] != base[c] {
+			t.Errorf("%s: %v mediated, %v without; privileged accesses are never mediated", c, mediated[c], base[c])
+		}
+	}
+}

@@ -101,7 +101,7 @@ func (d *DTU) serveReadEps(src noc.TileID, c *cmd) {
 		count = NumEPs - first
 	}
 	c.eps = append(c.eps[:0], d.eps[first:first+count]...)
-	d.answer(d.costs.Proc, respAnswer, src, extReqBytes*count, c, nil)
+	d.answer(procTime, respAnswer, src, extReqBytes*count, c, nil)
 }
 
 // SetCurAct initializes CUR_ACT during platform boot (before TileMux runs).

@@ -62,7 +62,7 @@ func FuzzDTUCommands(f *testing.F) {
 			net := noc.New(eng, noc.StarMesh{NumTiles: 4})
 			d0 := New(eng, net, 0, sim.MHz(80), false)
 			d1 := New(eng, net, 1, sim.MHz(80), false)
-			dram := mem.New(eng, mem.DefaultConfig(1<<20))
+			dram := mem.New(eng, 1<<20)
 			NewMemory(eng, net, 2, dram)
 
 			if len(data) > 0 {

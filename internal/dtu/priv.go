@@ -10,10 +10,12 @@ import (
 // operation on a non-virtualized DTU panics: it is a model bug, equivalent
 // to accessing unmapped MMIO.
 
-func (d *DTU) requirePriv() {
+// privAccess charges one privileged-interface access (never mediated).
+func (d *DTU) privAccess(p *sim.Proc) {
 	if !d.virt {
 		panic("dtu: privileged interface on non-virtualized DTU")
 	}
+	p.Sleep(d.coreClock.Cycles(privCycles))
 }
 
 // SwitchAct atomically installs a new current activity (with its saved
@@ -22,8 +24,7 @@ func (d *DTU) requirePriv() {
 // switch, which is what closes the lost-wakeup window for TileMux's blocking
 // decision (paper §3.7).
 func (d *DTU) SwitchAct(p *sim.Proc, act ActID, msgs int) (oldAct ActID, oldMsgs int) {
-	d.requirePriv()
-	d.charge(p, d.costs.PrivCmd)
+	d.privAccess(p)
 	oldAct, oldMsgs = d.curAct, d.curMsgs
 	d.curAct, d.curMsgs = act, msgs
 	return oldAct, oldMsgs
@@ -32,8 +33,7 @@ func (d *DTU) SwitchAct(p *sim.Proc, act ActID, msgs int) (oldAct ActID, oldMsgs
 // InsertTLB installs a translation through the privileged interface after
 // TileMux resolved a TLB miss reported by a failing command (paper §3.6).
 func (d *DTU) InsertTLB(p *sim.Proc, act ActID, vaddr, paddr uint64, perm Perm) {
-	d.requirePriv()
-	d.charge(p, d.costs.PrivCmd)
+	d.privAccess(p)
 	if vAct, vAddr, evicted := d.tlb.Insert(act, vaddr, paddr, perm); evicted {
 		d.rec.TLB(int64(d.eng.Now()), int(d.tile), trace.KindTLBEvict, int64(vAct), vAddr)
 	}
@@ -44,8 +44,7 @@ func (d *DTU) InsertTLB(p *sim.Proc, act ActID, vaddr, paddr uint64, perm Perm) 
 // that raised the request (0 when tracing is disabled). ok is false if the
 // queue is empty. The request stays queued until AckCoreReq.
 func (d *DTU) FetchCoreReq(p *sim.Proc) (act ActID, flow uint64, ok bool) {
-	d.requirePriv()
-	d.charge(p, d.costs.PrivCmd)
+	d.privAccess(p)
 	if d.coreReqN == 0 {
 		return ActInvalid, 0, false
 	}
@@ -57,8 +56,7 @@ func (d *DTU) FetchCoreReq(p *sim.Proc) (act ActID, flow uint64, ok bool) {
 // If more requests are queued, the vDTU injects another interrupt (paper
 // §3.8).
 func (d *DTU) AckCoreReq(p *sim.Proc) {
-	d.requirePriv()
-	d.charge(p, d.costs.PrivCmd)
+	d.privAccess(p)
 	if d.coreReqN == 0 {
 		return
 	}

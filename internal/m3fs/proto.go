@@ -38,43 +38,27 @@ const (
 // BlockBytes is the file system block size.
 const BlockBytes = 4096
 
-// Costs models the server-side work per operation, in server-core cycles.
-type Costs struct {
-	Open      int64
-	Stat      int64
-	NextIn    int64
-	NextOut   int64 // base; plus ZeroBlock per allocated block
-	ZeroBlock int64
-	Commit    int64
-	Close     int64
-	Mkdir     int64
-	ReadDir   int64 // base; plus DirEntry per entry
-	DirEntry  int64
-	Unlink    int64
+// maxExtentBlocks caps extent size (paper §6.3: limited to 64 blocks).
+const maxExtentBlocks = 64
 
-	// Client-side costs (cycles): per-call library overhead and per-byte
-	// buffer copy, the dominant cost of read/write loops on the 80 MHz
-	// cores.
-	ClientCall        int64
-	CopyBytesPerCycle int64
-}
+// The server-side work per operation, in server-core cycles.
+const (
+	openCycles      = 2500
+	statCycles      = 1200
+	nextInCycles    = 1600
+	nextOutCycles   = 1800 // base; plus zeroBlockCycles per allocated block
+	zeroBlockCycles = 1800
+	commitCycles    = 800
+	closeCycles     = 600
+	mkdirCycles     = 2000
+	readDirCycles   = 1500 // base; plus dirEntryCycles per entry
+	dirEntryCycles  = 60
+	unlinkCycles    = 2000
+)
 
-// DefaultCosts returns the calibrated cost model.
-func DefaultCosts() Costs {
-	return Costs{
-		Open:      2500,
-		Stat:      1200,
-		NextIn:    1600,
-		NextOut:   1800,
-		ZeroBlock: 1800,
-		Commit:    800,
-		Close:     600,
-		Mkdir:     2000,
-		ReadDir:   1500,
-		DirEntry:  60,
-		Unlink:    2000,
-
-		ClientCall:        250,
-		CopyBytesPerCycle: 8,
-	}
-}
+// Client-side costs (cycles): per-call library overhead and per-byte buffer
+// copy, the dominant cost of read/write loops on the 80 MHz cores.
+const (
+	clientCallCycles  = 250
+	copyBytesPerCycle = 8
+)

@@ -13,6 +13,13 @@ import (
 // chunkBits sizes the sparse backing chunks (64 KiB).
 const chunkBits = 16
 
+// The FPGA's DDR4 interface: ~100ns access latency (row activation etc.)
+// and 3.2 GB/s sustained bandwidth.
+const (
+	latency = 100 * sim.Nanosecond
+	bwBps   = 3_200_000_000 // bytes/second
+)
+
 // Memory is one memory tile's DRAM. The backing store is sparse: chunks are
 // allocated on first write, so multi-hundred-megabyte tiles cost nothing
 // until used.
@@ -20,35 +27,18 @@ type Memory struct {
 	eng      *sim.Engine
 	size     uint64
 	chunks   map[uint64][]byte
-	latency  sim.Time // fixed access latency (row activation etc.)
-	bwBps    int64    // sustained bandwidth in bytes/second
 	nextFree sim.Time // FCFS contention point
 
 	// Reads and Writes count completed accesses, for tests and reports.
 	Reads, Writes int64
 }
 
-// Config holds memory-tile timing parameters.
-type Config struct {
-	Size    uint64
-	Latency sim.Time
-	BwBps   int64
-}
-
-// DefaultConfig models the FPGA's DDR4 interface: ~100ns access latency and
-// 3.2 GB/s sustained bandwidth.
-func DefaultConfig(size uint64) Config {
-	return Config{Size: size, Latency: 100 * sim.Nanosecond, BwBps: 3_200_000_000}
-}
-
-// New creates a memory tile model.
-func New(eng *sim.Engine, cfg Config) *Memory {
+// New creates a memory tile model of the given capacity in bytes.
+func New(eng *sim.Engine, size uint64) *Memory {
 	return &Memory{
-		eng:     eng,
-		size:    cfg.Size,
-		chunks:  make(map[uint64][]byte),
-		latency: cfg.Latency,
-		bwBps:   cfg.BwBps,
+		eng:    eng,
+		size:   size,
+		chunks: make(map[uint64][]byte),
 	}
 }
 
@@ -59,16 +49,13 @@ func (m *Memory) Size() uint64 { return m.size }
 // returns the delay until the transfer completes, including queueing behind
 // earlier transfers.
 func (m *Memory) AccessDelay(n int) sim.Time {
-	ser := sim.Time(0)
-	if m.bwBps > 0 {
-		ser = sim.Time(int64(n) * int64(sim.Second) / m.bwBps)
-	}
+	ser := sim.Time(int64(n) * int64(sim.Second) / bwBps)
 	now := m.eng.Now()
 	start := now
 	if m.nextFree > start {
 		start = m.nextFree
 	}
-	done := start + m.latency + ser
+	done := start + latency + ser
 	m.nextFree = done
 	return done - now
 }

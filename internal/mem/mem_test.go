@@ -11,7 +11,7 @@ import (
 
 func TestReadWriteRoundTrip(t *testing.T) {
 	eng := sim.NewEngine()
-	m := New(eng, DefaultConfig(1<<20))
+	m := New(eng, 1<<20)
 	data := []byte("hello, dram")
 	m.WriteAt(4096, data)
 	got := m.ReadAt(4096, len(data))
@@ -25,7 +25,7 @@ func TestReadWriteRoundTrip(t *testing.T) {
 
 func TestOutOfBoundsPanics(t *testing.T) {
 	eng := sim.NewEngine()
-	m := New(eng, DefaultConfig(4096))
+	m := New(eng, 4096)
 	for _, c := range []struct {
 		off uint64
 		n   int
@@ -48,14 +48,14 @@ func TestOutOfBoundsPanics(t *testing.T) {
 
 func TestAccessDelayContention(t *testing.T) {
 	eng := sim.NewEngine()
-	m := New(eng, Config{Size: 4096, Latency: 100 * sim.Nanosecond, BwBps: 1_000_000_000})
-	// 1000 bytes at 1 GB/s = 1us serialization.
-	d1 := m.AccessDelay(1000)
+	m := New(eng, 4096)
+	// 3200 bytes at 3.2 GB/s = 1us serialization.
+	d1 := m.AccessDelay(3200)
 	if want := 100*sim.Nanosecond + sim.Microsecond; d1 != want {
 		t.Errorf("first access delay = %v, want %v", d1, want)
 	}
 	// Second access queues behind the first.
-	d2 := m.AccessDelay(1000)
+	d2 := m.AccessDelay(3200)
 	if want := 100*sim.Nanosecond + sim.Microsecond + d1; d2 != want {
 		t.Errorf("second access delay = %v, want %v", d2, want)
 	}

@@ -71,15 +71,20 @@ var Mixes = []struct {
 	{"scan", ScanHeavy},
 }
 
+// Fixed workload shape: YCSB's default Zipfian skew, the value size in
+// bytes and the records per scan.
+const (
+	zipfTheta = 0.99
+	valueLen  = 256
+	scanLen   = 20
+)
+
 // Config parameterizes a workload.
 type Config struct {
-	Records   int // records created in the load phase (paper: 200)
-	Ops       int // operations executed (paper: 200)
-	ValueLen  int // value size in bytes
-	ScanLen   int // records per scan
-	Seed      int64
-	Mix       Mix
-	ZipfTheta float64 // 0 -> default 0.99
+	Records int // records created in the load phase (paper: 200)
+	Ops     int // operations executed (paper: 200)
+	Seed    int64
+	Mix     Mix
 }
 
 // Workload is a generated benchmark: a load phase plus an operation stream.
@@ -97,24 +102,15 @@ func Generate(cfg Config) *Workload {
 	if cfg.Ops == 0 {
 		cfg.Ops = 200
 	}
-	if cfg.ValueLen == 0 {
-		cfg.ValueLen = 256
-	}
-	if cfg.ScanLen == 0 {
-		cfg.ScanLen = 20
-	}
-	if cfg.ZipfTheta == 0 {
-		cfg.ZipfTheta = 0.99
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	zipf := NewZipf(rng, cfg.ZipfTheta, cfg.Records)
+	zipf := NewZipf(rng, zipfTheta, cfg.Records)
 
 	w := &Workload{}
 	for i := 0; i < cfg.Records; i++ {
 		w.Load = append(w.Load, Op{
 			Kind:  OpInsert,
 			Key:   Key(i),
-			Value: value(rng, cfg.ValueLen),
+			Value: value(rng, valueLen),
 		})
 	}
 	inserted := cfg.Records
@@ -128,20 +124,20 @@ func Generate(cfg Config) *Workload {
 			w.Run = append(w.Run, Op{
 				Kind:  OpInsert,
 				Key:   Key(inserted),
-				Value: value(rng, cfg.ValueLen),
+				Value: value(rng, valueLen),
 			})
 			inserted++
 		case r < cfg.Mix.Read+cfg.Mix.Insert+cfg.Mix.Update:
 			w.Run = append(w.Run, Op{
 				Kind:  OpUpdate,
 				Key:   Key(zipf.Next()),
-				Value: value(rng, cfg.ValueLen),
+				Value: value(rng, valueLen),
 			})
 		default:
 			w.Run = append(w.Run, Op{
 				Kind: OpScan,
 				Key:  Key(zipf.Next()),
-				Scan: cfg.ScanLen,
+				Scan: scanLen,
 			})
 		}
 	}
