@@ -85,7 +85,7 @@ func m3vCloud(p Params, c *sim.Canceler, mix ycsb.Mix, shared bool) cloudTimes {
 	sys.SpawnRoot(dbTile, "clouddb", nil, func(a *activity.Activity) {
 		tiles := core.TileSels(a)
 		var err error
-		if _, err = vm.Spawn(a, tiles[pagerTile], pagerTile, 4<<20); err != nil {
+		if _, err = vm.Spawn(a, tiles[pagerTile], pagerTile); err != nil {
 			panic(err)
 		}
 		if fsRef, err = m3fs.Spawn(a, tiles[fsTile], fsTile, 64<<20); err != nil {

@@ -35,7 +35,7 @@ func fsThroughput(p Params, c *sim.Canceler, shared bool) (readMiBs, writeMiBs f
 	var readT, writeT sim.Time
 	sys.SpawnRoot(benchTile, "fsbench", nil, func(a *activity.Activity) {
 		tiles := core.TileSels(a)
-		if _, err := vm.Spawn(a, tiles[pagerTile], pagerTile, 4<<20); err != nil {
+		if _, err := vm.Spawn(a, tiles[pagerTile], pagerTile); err != nil {
 			panic(err)
 		}
 		if _, err := m3fs.Spawn(a, tiles[fsTile], fsTile, 64<<20); err != nil {

@@ -54,7 +54,7 @@ func voiceAssistant(p Params, c *sim.Canceler, shared bool) (sim.Time, float64) 
 
 	sys.SpawnRoot(scannerTile, "scanner", nil, func(a *activity.Activity) {
 		tiles := core.TileSels(a)
-		if _, err := vm.Spawn(a, tiles[pagerTile], pagerTile, 4<<20); err != nil {
+		if _, err := vm.Spawn(a, tiles[pagerTile], pagerTile); err != nil {
 			panic(err)
 		}
 		netRef, err := netstack.Spawn(a, tiles[netTile], netTile, dev)

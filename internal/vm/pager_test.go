@@ -22,7 +22,7 @@ func TestDemandPagingEndToEnd(t *testing.T) {
 	var delivered []byte
 	root := sys.SpawnRoot(rootTile, "root", nil, func(a *activity.Activity) {
 		tiles := core.TileSels(a)
-		if _, err := vm.Spawn(a, tiles[pagerTile], pagerTile, 1<<20); err != nil {
+		if _, err := vm.Spawn(a, tiles[pagerTile], pagerTile); err != nil {
 			t.Errorf("spawn pager: %v", err)
 			return
 		}
